@@ -9,6 +9,7 @@ behaviour visible in the Figure 2 trace diagrams.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -100,6 +101,7 @@ def progress_gap_fraction(
     if not windows:
         return 0.0
     delivery_times = sorted(t for t, _, _, _ in result.deliveries)
+    n_deliveries = len(delivery_times)
     total_bins = 0
     empty_bins = 0
     for lo, hi in windows:
@@ -107,40 +109,12 @@ def progress_gap_fraction(
         while t < hi:
             t_next = min(t + bin_s, hi)
             total_bins += 1
-            # binary search would be faster; linear scan per window is fine at
-            # the scales used in the experiments
-            has_delivery = any(t <= d < t_next for d in delivery_times)
-            if not has_delivery:
+            # the bin [t, t_next) holds a delivery iff the first delivery at or
+            # after t comes before t_next
+            i = bisect_left(delivery_times, t)
+            if i == n_deliveries or delivery_times[i] >= t_next:
                 empty_bins += 1
             t = t_next
     if total_bins == 0:
         return 0.0
     return empty_bins / total_bins
-
-
-def per_rank_checkpoint_time(result: ApplicationResult) -> Dict[int, float]:
-    """Total checkpoint time per rank."""
-    out: Dict[int, float] = {}
-    for rec in result.checkpoint_records:
-        out[rec.rank] = out.get(rec.rank, 0.0) + rec.duration
-    return out
-
-
-def logging_overhead_bytes(result: ApplicationResult) -> int:
-    """Total bytes ever appended to sender-side logs during the run."""
-    total = 0
-    for ctx in result.contexts:
-        log = getattr(ctx.protocol, "log", None)
-        if log is not None:
-            total += log.total_logged_bytes
-    return total
-
-
-def logged_message_count(result: ApplicationResult) -> int:
-    """Total number of messages ever logged during the run."""
-    total = 0
-    for ctx in result.contexts:
-        log = getattr(ctx.protocol, "log", None)
-        if log is not None:
-            total += log.total_logged_messages
-    return total

@@ -14,8 +14,10 @@ rank-count × seed); this subsystem turns those sweeps into *campaigns*:
   whose workers claim open experiments from the store, execute them and write
   results back; supports ``resume()`` after crashes and serves ``done`` rows
   straight from the store without re-running anything,
-* :mod:`repro.campaign.results` — the stored-metrics result object that
-  mirrors :class:`~repro.experiments.runner.ScenarioResult`'s metric API,
+* :mod:`repro.campaign.results` — the metrics payload a worker stores (the
+  :mod:`repro.analysis.catalog` metrics plus a version stamp) and
+  :class:`StoredResult`, which reads it back through the same accessors as
+  :class:`~repro.experiments.runner.ScenarioResult`,
 * :mod:`repro.campaign.export` — turn stored rows into the
   :mod:`repro.analysis.reporting` ``Series``/``Table`` objects and CSV,
 * :mod:`repro.campaign.progress` — a read-only observatory over a store:

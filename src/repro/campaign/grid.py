@@ -95,10 +95,3 @@ class ParameterGrid:
                 seen.add(key)
                 out.append(config)
         return out
-
-    def with_axis(self, name: str, values: Sequence[object]) -> "ParameterGrid":
-        """Copy of this grid with one axis added or replaced."""
-        axes = dict(self.axes)
-        axes[name] = tuple(values)
-        return ParameterGrid(axes=axes, base=dict(self.base),
-                             overrides={k: dict(v) for k, v in self.overrides.items()})

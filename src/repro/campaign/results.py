@@ -1,20 +1,19 @@
-"""Stored-metrics result objects.
+"""The campaign metrics payload and its version stamp.
 
 A campaign worker cannot ship the whole :class:`~repro.experiments.runner.
 ScenarioResult` back through the store (it holds the full simulated
-application state); instead it stores the JSON *metrics payload* — every
-scalar the figures read, plus the per-stage checkpoint breakdown.
-:class:`StoredResult` wraps that payload behind the same property API as
-``ScenarioResult``, so figure code works identically on live and on stored
-results.
+application state); instead it stores the JSON *metrics payload* — the
+version stamp plus every metric of :data:`repro.analysis.catalog.CATALOG`.
+:class:`~repro.analysis.catalog.StoredResult` (re-exported here) reads that
+payload back through the same accessors as ``ScenarioResult``, so figure code
+works identically on live and on stored results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.analysis.metrics import CheckpointBreakdown
-from repro.experiments.config import ScenarioConfig
+from repro.analysis.catalog import StoredResult  # noqa: F401  (re-exported)
 
 #: payload format version, bump when the metric set changes so stale stores
 #: are detected instead of silently missing keys (v3 added the measured
@@ -27,8 +26,11 @@ from repro.experiments.config import ScenarioConfig
 #: units migrated, repartition bytes shipped, shrink restarts; v8 the
 #: continuous-telemetry series summaries: peak/mean NIC utilization, max
 #: inbox depth, peak retained sender-log bytes, storage inflight peak and
-#: the sampler bin geometry — empty unless the run was sampled)
-PAYLOAD_VERSION = 8
+#: the sampler bin geometry — empty unless the run was sampled; v9 the
+#: payload is exactly the metric catalog: ``rank0_ckpt_end_times`` became
+#: ``rank0_checkpoint_end_times`` and the legacy ``breakdown_stages`` /
+#: ``breakdown_n_records`` entries are gone)
+PAYLOAD_VERSION = 9
 
 #: simulation-kernel schema revision: bump whenever a kernel/network change is
 #: *allowed* to alter simulated results (rev 1 = seed coroutine kernel,
@@ -55,336 +57,6 @@ def payload_stamp() -> Dict[str, object]:
 
 
 def metrics_payload(result) -> Dict[str, object]:
-    """Extract the JSON-safe metrics payload from a ``ScenarioResult``."""
-    breakdown = result.breakdown()
-    return {
-        "version": PAYLOAD_VERSION,
-        "sim_version": simulator_fingerprint(),
-        "rank0_ckpt_end_times": list(result.rank0_checkpoint_end_times),
-        "makespan": result.makespan,
-        "aggregate_checkpoint_time": result.aggregate_checkpoint_time,
-        "aggregate_coordination_time": result.aggregate_coordination_time,
-        "aggregate_restart_time": result.aggregate_restart_time,
-        "resend_bytes": result.resend_bytes,
-        "resend_operations": result.resend_operations,
-        "checkpoints_completed": result.checkpoints_completed,
-        "mean_checkpoint_duration": result.mean_checkpoint_duration,
-        "gap_fraction": result.gap_fraction,
-        "breakdown_stages": dict(breakdown.stages),
-        "breakdown_n_records": breakdown.n_records,
-        "n_groups": (len(result.groupset.all_groups())
-                     if result.groupset is not None else None),
-        # measured failure-injection metrics (all zero for failure-free runs)
-        "failures_injected": result.failures_injected,
-        "rollback_ranks_total": result.rollback_ranks_total,
-        "measured_lost_work_s": result.measured_lost_work_s,
-        "measured_recovery_time_s": result.measured_recovery_time_s,
-        "replayed_bytes": result.replayed_bytes,
-        "replayed_messages": result.replayed_messages,
-        "skipped_bytes": result.skipped_bytes,
-        # recovery-orchestration metrics (availability experiments)
-        "recovery_rank_seconds": result.recovery_rank_seconds,
-        "availability": result.availability,
-        "spare_migrations": result.spare_migrations,
-        "inplace_reboots": result.inplace_reboots,
-        "aborted_recoveries": result.aborted_recoveries,
-        "max_concurrent_recoveries": result.max_concurrent_recoveries,
-        # storage-hierarchy metrics (v5; zero/empty for single-tier runs)
-        "survived": int(result.survived),
-        "tier_bytes_written": dict(result.tier_bytes_written),
-        "tier_bytes_read": dict(result.tier_bytes_read),
-        "partner_copies": result.partner_copies,
-        "partner_copies_lost": result.partner_copies_lost,
-        "replication_stalls": result.replication_stalls,
-        "outages_survived": result.outages_survived,
-        "spare_refills": result.spare_refills,
-        "skipped_in_recovery": result.skipped_in_recovery,
-        # telemetry metrics (v6): phase-attributed time breakdowns and the
-        # flat registry snapshot harvested at the end of the run
-        "phase_times": getattr(result, "phase_times", {}) or {},
-        "registry_metrics": (result.telemetry.metrics.as_flat_dict()
-                             if getattr(result, "telemetry", None) is not None
-                             else {}),
-        # elastic-restart metrics (v7; zero/None without shrink restarts)
-        "ranks_after_restart": result.ranks_after_restart,
-        "units_migrated": result.units_migrated,
-        "repartition_bytes_shipped": result.repartition_bytes_shipped,
-        "shrink_restarts": result.shrink_restarts,
-        # continuous-telemetry series summaries (v8; empty unless sampled)
-        "sampler_summary": dict(getattr(result, "sampler_summary", {}) or {}),
-    }
-
-
-class StoredResult:
-    """Metrics of one finished scenario, read back from the campaign store.
-
-    Exposes the same metric properties as
-    :class:`~repro.experiments.runner.ScenarioResult` so the figure
-    generators accept either interchangeably.
-    """
-
-    def __init__(self, config: ScenarioConfig, metrics: Dict[str, object]) -> None:
-        self.config = config
-        self.metrics = metrics
-
-    # -- mirrored metric API ---------------------------------------------------------
-    @property
-    def makespan(self) -> float:
-        """End-to-end execution time of the application (including checkpoints)."""
-        return self.metrics["makespan"]
-
-    @property
-    def aggregate_checkpoint_time(self) -> float:
-        """Sum of per-process checkpoint durations."""
-        return self.metrics["aggregate_checkpoint_time"]
-
-    @property
-    def aggregate_coordination_time(self) -> float:
-        """Sum of per-process coordination time (checkpoint minus image dump)."""
-        return self.metrics["aggregate_coordination_time"]
-
-    @property
-    def aggregate_restart_time(self) -> float:
-        """Sum of per-process restart durations (0 if restart was not simulated)."""
-        return self.metrics["aggregate_restart_time"]
-
-    @property
-    def resend_bytes(self) -> int:
-        """Total bytes replayed during restart."""
-        return self.metrics["resend_bytes"]
-
-    @property
-    def resend_operations(self) -> int:
-        """Total resend operations during restart."""
-        return self.metrics["resend_operations"]
-
-    @property
-    def checkpoints_completed(self) -> int:
-        """Number of checkpoint waves completed."""
-        return self.metrics["checkpoints_completed"]
-
-    @property
-    def mean_checkpoint_duration(self) -> float:
-        """Average per-process checkpoint duration."""
-        return self.metrics["mean_checkpoint_duration"]
-
-    @property
-    def gap_fraction(self) -> float:
-        """Fraction of checkpoint-window time with no application progress."""
-        return self.metrics["gap_fraction"]
-
-    @property
-    def n_groups(self) -> Optional[int]:
-        """Number of groups the protocol used (None for VCL)."""
-        return self.metrics.get("n_groups")
-
-    @property
-    def rank0_checkpoint_end_times(self) -> List[float]:
-        """Completion times of rank 0's checkpoints (drives work-loss models)."""
-        return list(self.metrics.get("rank0_ckpt_end_times", []))
-
-    # -- measured failure-injection metrics -------------------------------------
-    @property
-    def failures_injected(self) -> int:
-        """Number of failures that actually killed a rank mid-run."""
-        return self.metrics.get("failures_injected", 0)
-
-    @property
-    def rollback_ranks_total(self) -> int:
-        """Total rank rollbacks across all injected failures."""
-        return self.metrics.get("rollback_ranks_total", 0)
-
-    @property
-    def measured_lost_work_s(self) -> float:
-        """Measured work discarded by rollbacks (sums over ranks and failures)."""
-        return self.metrics.get("measured_lost_work_s", 0.0)
-
-    @property
-    def measured_recovery_time_s(self) -> float:
-        """Slowest failure-to-resumption time over all injected failures."""
-        return self.metrics.get("measured_recovery_time_s", 0.0)
-
-    @property
-    def replayed_bytes(self) -> int:
-        """Bytes resent from sender logs during live recoveries."""
-        return self.metrics.get("replayed_bytes", 0)
-
-    @property
-    def replayed_messages(self) -> int:
-        """Log entries resent during live recoveries."""
-        return self.metrics.get("replayed_messages", 0)
-
-    @property
-    def skipped_bytes(self) -> int:
-        """Re-executed send bytes suppressed by skip accounting."""
-        return self.metrics.get("skipped_bytes", 0)
-
-    # -- recovery-orchestration metrics ------------------------------------------
-    @property
-    def recovery_rank_seconds(self) -> float:
-        """Rank-seconds spent recovering (Σ per-rank failure→resumption time)."""
-        return self.metrics.get("recovery_rank_seconds", 0.0)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of total rank-time spent making forward progress."""
-        return self.metrics.get("availability", 1.0)
-
-    @property
-    def spare_migrations(self) -> int:
-        """Victim ranks relaunched on spare nodes."""
-        return self.metrics.get("spare_migrations", 0)
-
-    @property
-    def inplace_reboots(self) -> int:
-        """Victim ranks that waited out a dead node's reboot in place."""
-        return self.metrics.get("inplace_reboots", 0)
-
-    @property
-    def aborted_recoveries(self) -> int:
-        """Recovery attempts superseded by a failure landing mid-recovery."""
-        return self.metrics.get("aborted_recoveries", 0)
-
-    @property
-    def max_concurrent_recoveries(self) -> int:
-        """Peak number of simultaneously in-flight group recoveries."""
-        return self.metrics.get("max_concurrent_recoveries", 0)
-
-    # -- storage-hierarchy metrics -------------------------------------------------
-    @property
-    def survived(self) -> bool:
-        """False when the run was declared unsurvivable (required image lost)."""
-        return bool(self.metrics.get("survived", 1))
-
-    @property
-    def tier_bytes_written(self) -> Dict[str, int]:
-        """Checkpoint bytes written per storage level (L1/L2/L3)."""
-        return dict(self.metrics.get("tier_bytes_written", {}))
-
-    @property
-    def tier_bytes_read(self) -> Dict[str, int]:
-        """Checkpoint bytes read back per storage level (L1/L2/L3)."""
-        return dict(self.metrics.get("tier_bytes_read", {}))
-
-    @property
-    def partner_copies(self) -> int:
-        """Completed L2 partner replications."""
-        return self.metrics.get("partner_copies", 0)
-
-    @property
-    def partner_copies_lost(self) -> int:
-        """Partner replications that died with an endpoint mid-copy."""
-        return self.metrics.get("partner_copies_lost", 0)
-
-    @property
-    def replication_stalls(self) -> int:
-        """Checkpoints that waited on the bounded L2 in-flight buffer."""
-        return self.metrics.get("replication_stalls", 0)
-
-    @property
-    def outages_survived(self) -> int:
-        """Correlated switch outages this run recovered from end to end."""
-        return self.metrics.get("outages_survived", 0)
-
-    @property
-    def spare_refills(self) -> int:
-        """Rebooted victim nodes that rejoined the spare pool."""
-        return self.metrics.get("spare_refills", 0)
-
-    @property
-    def skipped_in_recovery(self) -> int:
-        """Per-group checkpoint ticks skipped because the group was recovering."""
-        return self.metrics.get("skipped_in_recovery", 0)
-
-    # -- elastic-restart metrics (v7) ---------------------------------------------
-    @property
-    def shrink_restarts(self) -> int:
-        """Recoveries that shrank the job onto the survivors."""
-        return self.metrics.get("shrink_restarts", 0)
-
-    @property
-    def ranks_after_restart(self) -> Optional[int]:
-        """Ranks actively computing at the end (None = never shrank)."""
-        return self.metrics.get("ranks_after_restart")
-
-    @property
-    def units_migrated(self) -> int:
-        """Work units that changed owner across all shrink restarts."""
-        return self.metrics.get("units_migrated", 0)
-
-    @property
-    def repartition_bytes_shipped(self) -> int:
-        """Image bytes shipped dead rank → adopter during shrink restarts."""
-        return self.metrics.get("repartition_bytes_shipped", 0)
-
-    # -- continuous-telemetry series summaries (v8) -------------------------------
-    @property
-    def sampler_summary(self) -> Dict[str, float]:
-        """Compact time-series summaries (empty unless the run was sampled)."""
-        return dict(self.metrics.get("sampler_summary", {}) or {})
-
-    @property
-    def nic_util_peak(self) -> float:
-        """Peak fraction of NICs with an in-flight transfer in any bin."""
-        return self.sampler_summary.get("nic_util_peak", 0.0)
-
-    @property
-    def nic_util_mean(self) -> float:
-        """Mean over bins of the busy-NIC fraction."""
-        return self.sampler_summary.get("nic_util_mean", 0.0)
-
-    @property
-    def inbox_depth_max(self) -> float:
-        """Deepest sampled inbox across all ranks and bins."""
-        return self.sampler_summary.get("inbox_depth_max", 0.0)
-
-    @property
-    def log_bytes_peak(self) -> float:
-        """Peak total sender-log retained bytes across bins."""
-        return self.sampler_summary.get("log_bytes_peak", 0.0)
-
-    # -- telemetry metrics (v6) ---------------------------------------------------
-    @property
-    def phase_times(self) -> Dict[str, object]:
-        """Phase-attributed time breakdown harvested from the metrics registry."""
-        return dict(self.metrics.get("phase_times", {}))
-
-    @property
-    def registry_metrics(self) -> Dict[str, object]:
-        """Flat ``{name: value}`` snapshot of the run's metrics registry."""
-        return dict(self.metrics.get("registry_metrics", {}))
-
-    @property
-    def sim_version(self) -> Optional[str]:
-        """Simulator fingerprint the payload was produced with."""
-        return self.metrics.get("sim_version")
-
-    def breakdown(self) -> CheckpointBreakdown:
-        """Average per-stage checkpoint breakdown (Figure 9).
-
-        v6 payloads are read from ``phase_times`` (the metrics-registry
-        harvest — one source of truth for phase-attributed time); older
-        payloads fall back to the legacy ``breakdown_stages`` mirror, which
-        carried the same per-stage means.
-        """
-        checkpoint = (self.metrics.get("phase_times") or {}).get("checkpoint") or {}
-        n = checkpoint.get("records", 0)
-        if n:
-            return CheckpointBreakdown(
-                stages={name: total / n
-                        for name, total in (checkpoint.get("stages") or {}).items()},
-                n_records=n,
-            )
-        return CheckpointBreakdown(
-            stages=dict(self.metrics.get("breakdown_stages", {})),
-            n_records=self.metrics.get("breakdown_n_records", 0),
-        )
-
-    def scalar(self, name: str) -> object:
-        """Look up one payload entry by name (for export helpers)."""
-        return self.metrics[name]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cfg = self.config
-        return (f"<StoredResult {cfg.workload}/{cfg.method}/n={cfg.n_ranks}/"
-                f"seed={cfg.seed} makespan={self.makespan:.3f}>")
+    """The JSON-safe payload of a live ``ScenarioResult``: the version stamp
+    plus every catalog metric."""
+    return {**payload_stamp(), **result.metrics}

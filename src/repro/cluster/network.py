@@ -610,16 +610,6 @@ class Network:
             return True
         return self.topology.same_switch(a, b)
 
-    def tx_queue_length(self, node: int) -> int:
-        """Messages currently waiting for the node's transmit NIC."""
-        self._check_node(node)
-        return self._tx[node].queue_length
-
-    def rx_queue_length(self, node: int) -> int:
-        """Messages currently waiting for the node's receive NIC."""
-        self._check_node(node)
-        return self._rx[node].queue_length
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range [0, {self.n_nodes})")

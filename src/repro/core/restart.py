@@ -79,11 +79,6 @@ class RestartResult:
         return sum(rec.duration for rec in self.records)
 
     @property
-    def max_restart_time(self) -> float:
-        """Slowest process's restart time."""
-        return max((rec.duration for rec in self.records), default=0.0)
-
-    @property
     def total_replay_bytes(self) -> int:
         """Total data volume resent during the restart (Figure 7 metric)."""
         return sum(ch.nbytes for ch in self.channels)
@@ -419,18 +414,6 @@ def common_checkpoint_ids(runtime: "MpiRuntime", members: Sequence[int]) -> List
         if not common:
             return []
     return sorted(common or (), reverse=True)
-
-
-def common_checkpoint_id(runtime: "MpiRuntime", members: Sequence[int]) -> Optional[int]:
-    """Newest checkpoint id that *every* member holds a snapshot for.
-
-    A failure can hit mid-wave, leaving some members with a newer snapshot
-    than others; the recovery line is the newest checkpoint all of them
-    completed dumping.  None means at least one member never checkpointed —
-    the group restarts from scratch.
-    """
-    ids = common_checkpoint_ids(runtime, members)
-    return ids[0] if ids else None
 
 
 class LiveRecovery:

@@ -215,10 +215,9 @@ def availability_summary(
                 if result is None:
                     continue
                 m = result.metrics
-                failures = m.get("failures_injected", 0.0)
+                failures = result.failures_injected
                 recovery_per_failure = (
-                    m.get("recovery_rank_seconds", 0.0) / failures
-                    if failures else 0.0)
+                    result.recovery_rank_seconds / failures if failures else 0.0)
                 cell = AvailabilityCell(
                     method=method,
                     mtbf_per_node_s=mtbf,
@@ -226,16 +225,16 @@ def availability_summary(
                     n_seeds=m.get("n_seeds", 1),
                     makespan_s=result.makespan,
                     makespan_std_s=m.get("makespan_std", 0.0),
-                    availability=m.get("availability", 1.0),
+                    availability=result.availability,
                     availability_std=m.get("availability_std", 0.0),
                     failures=failures,
-                    lost_work_s=m.get("measured_lost_work_s", 0.0),
+                    lost_work_s=result.measured_lost_work_s,
                     recovery_cost_per_failure_s=recovery_per_failure,
-                    spare_migrations=m.get("spare_migrations", 0.0),
-                    inplace_reboots=m.get("inplace_reboots", 0.0),
-                    aborted_recoveries=m.get("aborted_recoveries", 0.0),
-                    max_concurrent_recoveries=m.get("max_concurrent_recoveries", 0.0),
-                    spare_refills=m.get("spare_refills", 0.0),
+                    spare_migrations=result.spare_migrations,
+                    inplace_reboots=result.inplace_reboots,
+                    aborted_recoveries=result.aborted_recoveries,
+                    max_concurrent_recoveries=result.max_concurrent_recoveries,
+                    spare_refills=result.spare_refills,
                 )
                 cells.append(cell)
                 rate = 1.0 / mtbf
@@ -406,5 +405,5 @@ def concurrency_ablation(
         table.add_row(label, round(result.makespan, 2),
                       round(result.availability, 4),
                       round(result.max_concurrent_recoveries, 1),
-                      round(result.metrics.get("failures_injected", 0.0), 1))
+                      round(result.failures_injected, 1))
     return {"results": out, "table": table}

@@ -17,7 +17,7 @@ nothing and a cold sweep can use several worker processes
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.analysis.reporting import Series, Table, series_table
 from repro.ckpt.base import STAGES
@@ -26,7 +26,7 @@ from repro.cluster.topology import GIDEON_300
 from repro.core.formation import form_groups, grouping_quality
 from repro.core.groups import GroupSet
 from repro.experiments.config import ExperimentProfile, FULL, ScenarioConfig
-from repro.experiments.runner import ScenarioResult, obtain_trace
+from repro.experiments.runner import obtain_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from repro.campaign.grid import ParameterGrid
@@ -39,10 +39,6 @@ SP_METHODS: Tuple[str, ...] = ("GP", "GP1", "NORM")
 #: the HPL trace analysis yields groups of size P (the process-column size),
 #: so the formation bound is set to the grid height, as in Table 1
 HPL_MAX_GROUP_SIZE = 8
-
-#: figure code accepts live and stored results interchangeably
-SweepResult = Union[ScenarioResult, "StoredResult"]
-
 
 # ----------------------------------------------------------------------- shared sweeps
 def _run_all(configs: Sequence[ScenarioConfig]) -> List["StoredResult"]:
@@ -92,7 +88,7 @@ def hpl_grid(profile: ExperimentProfile = FULL) -> "ParameterGrid":
     return _grid(axes={"n_ranks": profile.hpl_scales, "method": HPL_METHODS}, base=base)
 
 
-def hpl_sweep(profile: ExperimentProfile = FULL) -> Dict[Tuple[str, int], SweepResult]:
+def hpl_sweep(profile: ExperimentProfile = FULL) -> Dict[Tuple[str, int], "StoredResult"]:
     """The HPL one-shot-checkpoint sweep shared by Figures 5, 6, 7, 8 and 9."""
     return _by_method_and_scale(_run_all(hpl_grid(profile).expand()))
 
@@ -110,7 +106,7 @@ def cg_grid(profile: ExperimentProfile = FULL) -> "ParameterGrid":
     )
 
 
-def cg_sweep(profile: ExperimentProfile = FULL) -> Dict[Tuple[str, int], SweepResult]:
+def cg_sweep(profile: ExperimentProfile = FULL) -> Dict[Tuple[str, int], "StoredResult"]:
     """The NPB CG one-shot-checkpoint sweep behind Figure 11."""
     return _by_method_and_scale(_run_all(cg_grid(profile).expand()))
 
@@ -128,14 +124,14 @@ def sp_grid(profile: ExperimentProfile = FULL) -> "ParameterGrid":
     )
 
 
-def sp_sweep(profile: ExperimentProfile = FULL) -> Dict[Tuple[str, int], SweepResult]:
+def sp_sweep(profile: ExperimentProfile = FULL) -> Dict[Tuple[str, int], "StoredResult"]:
     """The NPB SP one-shot-checkpoint sweep behind Figure 12 (GP4 is not applicable)."""
     return _by_method_and_scale(_run_all(sp_grid(profile).expand()))
 
 
 def remote_storage_sweep(
     profile: ExperimentProfile = FULL, n_checkpoints: int = 3
-) -> Dict[Tuple[str, int], SweepResult]:
+) -> Dict[Tuple[str, int], "StoredResult"]:
     """The CG remote-storage comparison behind Figures 13 and 14 (GP vs VCL).
 
     The paper triggers MPICH-VCL every 120 s and then forces GP to take the
@@ -372,7 +368,7 @@ def figure9(profile: ExperimentProfile = FULL) -> Dict[str, object]:
         for method in HPL_METHODS:
             # stage means come from the metrics registry (payload v6
             # "phase_times" harvested by the telemetry layer) — see
-            # StoredResult.breakdown / ScenarioResult.breakdown
+            # StoredResult.breakdown
             breakdown = sweep[(method, n)].breakdown()
             row = [n, method] + breakdown.as_row() + [breakdown.total]
             table.add_row(*row)

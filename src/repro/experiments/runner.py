@@ -16,15 +16,11 @@ method does not re-trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.metrics import (
-    CheckpointBreakdown,
-    mean_checkpoint_duration,
-    progress_gap_fraction,
-    stage_breakdown,
-)
+from repro.analysis.catalog import StoredResult, evaluate
 from repro.ckpt.base import ProtocolConfig, ProtocolFamily
 from repro.ckpt.presets import (
     gp1_family,
@@ -56,7 +52,6 @@ from repro.obs import (
     sampling_bin_from_env,
     tracing_enabled_from_env,
 )
-from repro.obs import phase_times as registry_phase_times
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.base import Workload
@@ -193,179 +188,36 @@ def build_family(
 
 # ------------------------------------------------------------------------- scenario run
 @dataclass
-class ScenarioResult:
-    """Everything measured for one scenario run."""
+class ScenarioResult(StoredResult):
+    """Everything measured for one scenario run.
+
+    Every metric accessor is :class:`~repro.analysis.catalog.StoredResult`'s,
+    reading :attr:`metrics` — the metric catalog evaluated once over this
+    live run — so a live result and its stored payload answer alike.
+    """
 
     config: ScenarioConfig
     app: ApplicationResult
+    #: telemetry harvested for this run (registry-only unless tracing was requested)
+    telemetry: Telemetry
     restart: Optional[RestartResult] = None
     groupset: Optional[GroupSet] = None
     coordinator_report: Optional[object] = None
-    #: telemetry handle harvested for this run (``run_scenario`` always
-    #: provides one — registry-only unless tracing was requested); results
-    #: constructed by hand may leave it None, falling back to re-derivation
-    telemetry: Optional[Telemetry] = None
 
-    # -- derived metrics -----------------------------------------------------------
+    @cached_property
+    def metrics(self) -> Dict[str, object]:
+        """Every catalog metric of this run, evaluated on first read."""
+        return evaluate(self)
+
     @property
     def sampler(self) -> Optional[object]:
         """The run's :class:`~repro.obs.StateSampler`, if sampling was on."""
-        return getattr(self.telemetry, "sampler", None)
+        return self.telemetry.sampler
 
-    @property
-    def sampler_summary(self) -> Dict[str, float]:
-        """Compact series summaries (payload v8); empty when not sampled."""
-        sampler = self.sampler
-        if sampler is None or sampler.end_time is None:
-            return {}
-        return sampler.summary()
-
-    @property
-    def nic_util_peak(self) -> float:
-        """Peak fraction of NICs with an in-flight transfer in any bin."""
-        return self.sampler_summary.get("nic_util_peak", 0.0)
-
-    @property
-    def nic_util_mean(self) -> float:
-        """Mean over bins of the busy-NIC fraction."""
-        return self.sampler_summary.get("nic_util_mean", 0.0)
-
-    @property
-    def inbox_depth_max(self) -> float:
-        """Deepest sampled inbox across all ranks and bins."""
-        return self.sampler_summary.get("inbox_depth_max", 0.0)
-
-    @property
-    def log_bytes_peak(self) -> float:
-        """Peak total sender-log retained bytes across bins."""
-        return self.sampler_summary.get("log_bytes_peak", 0.0)
-
-    @property
-    def makespan(self) -> float:
-        """End-to-end execution time of the application (including checkpoints)."""
-        return self.app.makespan
-
-    @property
-    def aggregate_checkpoint_time(self) -> float:
-        """Sum of per-process checkpoint durations.
-
-        Read from the metrics registry (``phase.checkpoint.duration``) when
-        telemetry was harvested; the histogram observed the same records in
-        the same order, so the value is bit-identical to the re-derivation.
-        """
-        if self.telemetry is not None:
-            hist = self.telemetry.metrics.get("phase.checkpoint.duration")
-            return hist.total if hist is not None else 0.0
-        return self.app.aggregate_checkpoint_time()
-
-    @property
-    def aggregate_coordination_time(self) -> float:
-        """Sum of per-process coordination time (checkpoint minus image dump)."""
-        if self.telemetry is not None:
-            hist = self.telemetry.metrics.get("phase.checkpoint.coordination_time")
-            return hist.total if hist is not None else 0.0
-        return self.app.aggregate_coordination_time()
-
-    @property
-    def aggregate_restart_time(self) -> float:
-        """Sum of per-process restart durations (0 if restart was not simulated)."""
-        return self.restart.aggregate_restart_time if self.restart is not None else 0.0
-
-    @property
-    def resend_bytes(self) -> int:
-        """Total bytes replayed during restart."""
-        return self.restart.total_replay_bytes if self.restart is not None else 0
-
-    @property
-    def resend_operations(self) -> int:
-        """Total resend operations during restart."""
-        return self.restart.total_resend_operations if self.restart is not None else 0
-
-    @property
-    def checkpoints_completed(self) -> int:
-        """Number of checkpoint waves completed."""
-        return self.app.checkpoints_completed
-
-    @property
-    def mean_checkpoint_duration(self) -> float:
-        """Average per-process checkpoint duration."""
-        return mean_checkpoint_duration(self.app.checkpoint_records)
-
-    @property
-    def gap_fraction(self) -> float:
-        """Fraction of checkpoint-window time with no application progress."""
-        return progress_gap_fraction(self.app)
-
-    @property
-    def rank0_checkpoint_end_times(self) -> List[float]:
-        """Completion times of rank 0's checkpoints (drives work-loss models)."""
-        return sorted(rec.end for rec in self.app.checkpoint_records if rec.rank == 0)
-
-    # -- measured failure-injection metrics -------------------------------------
     @property
     def recovery_reports(self) -> List[object]:
         """Live-recovery reports, one per injected failure (empty without one)."""
         return list(self.app.recovery)
-
-    @property
-    def failures_injected(self) -> int:
-        """Number of failures that actually killed a rank mid-run."""
-        return len(self.app.recovery)
-
-    @property
-    def rollback_ranks_total(self) -> int:
-        """Total rank rollbacks across all injected failures."""
-        return sum(len(rep.rollback_ranks) for rep in self.app.recovery)
-
-    @property
-    def measured_lost_work_s(self) -> float:
-        """Measured work discarded by rollbacks (sums over ranks and failures)."""
-        return sum(rep.total_lost_work_s for rep in self.app.recovery)
-
-    @property
-    def measured_recovery_time_s(self) -> float:
-        """Slowest failure-to-resumption time over all injected failures."""
-        return max((rep.max_recovery_time_s for rep in self.app.recovery), default=0.0)
-
-    @property
-    def replayed_bytes(self) -> int:
-        """Bytes resent from sender logs during live recoveries."""
-        return sum(rep.replayed_bytes for rep in self.app.recovery)
-
-    @property
-    def replayed_messages(self) -> int:
-        """Log entries resent during live recoveries."""
-        return sum(rep.replayed_messages for rep in self.app.recovery)
-
-    @property
-    def skipped_bytes(self) -> int:
-        """Re-executed send bytes suppressed by skip accounting."""
-        return sum(ctx.stats.skipped_bytes for ctx in self.app.contexts)
-
-    # -- recovery-orchestration metrics ------------------------------------------
-    @property
-    def recovery_rank_seconds(self) -> float:
-        """Rank-seconds spent recovering (Σ per-rank failure→resumption time)."""
-        return sum(rep.recovery_rank_seconds for rep in self.app.recovery)
-
-    @property
-    def unavailable_rank_seconds(self) -> float:
-        """Rank-seconds of no forward progress: discarded work + recovery."""
-        return self.measured_lost_work_s + self.recovery_rank_seconds
-
-    @property
-    def availability(self) -> float:
-        """Fraction of total rank-time spent making forward progress.
-
-        ``1 − (lost work + recovery time) / (n_ranks × makespan)`` — the
-        measured quantity the availability experiments sweep: group-based
-        rollback confines the numerator to one group per failure, so GP
-        degrades gracefully as the failure rate rises while NORM collapses.
-        """
-        total = self.app.n_ranks * self.makespan
-        if total <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.unavailable_rank_seconds / total)
 
     @property
     def recovery_stats(self) -> Dict[str, int]:
@@ -373,143 +225,9 @@ class ScenarioResult:
         return dict(self.app.recovery_stats)
 
     @property
-    def spare_migrations(self) -> int:
-        """Victim ranks relaunched on spare nodes."""
-        return self.app.recovery_stats.get("spare_migrations", 0)
-
-    @property
-    def inplace_reboots(self) -> int:
-        """Victim ranks that waited out a dead node's reboot in place."""
-        return sum(rep.inplace_reboots for rep in self.app.recovery)
-
-    @property
-    def aborted_recoveries(self) -> int:
-        """Recovery attempts superseded by a failure landing mid-recovery."""
-        return self.app.recovery_stats.get("aborted_recoveries", 0)
-
-    @property
-    def max_concurrent_recoveries(self) -> int:
-        """Peak number of simultaneously in-flight group recoveries."""
-        return self.app.recovery_stats.get("max_concurrent_recoveries", 0)
-
-    @property
-    def spare_refills(self) -> int:
-        """Rebooted victim nodes that rejoined the spare pool."""
-        return self.app.recovery_stats.get("spare_refills", 0)
-
-    # -- elastic-restart metrics ---------------------------------------------------
-    @property
-    def shrink_restarts(self) -> int:
-        """Spare-exhausted failures resolved by repartitioning onto survivors."""
-        return self.app.recovery_stats.get("shrink_restarts", 0)
-
-    @property
-    def ranks_after_restart(self) -> Optional[int]:
-        """Active rank count after the last shrink (None when never shrunk)."""
-        ranks = None
-        for rep in self.app.recovery:
-            if getattr(rep, "shrink", False):
-                ranks = rep.ranks_after
-        return ranks
-
-    @property
-    def units_migrated(self) -> int:
-        """Work units reassigned away from dead ranks across all shrinks."""
-        return sum(rep.units_migrated for rep in self.app.recovery
-                   if getattr(rep, "shrink", False))
-
-    @property
-    def repartition_bytes_shipped(self) -> int:
-        """Checkpoint-image bytes shipped to adopters across all shrinks."""
-        return sum(rep.repartition_bytes_shipped for rep in self.app.recovery
-                   if getattr(rep, "shrink", False))
-
-    # -- storage-hierarchy metrics ------------------------------------------------
-    @property
-    def survived(self) -> bool:
-        """False when the run was declared unsurvivable (required image lost)."""
-        return self.app.aborted is None
-
-    @property
     def abort_reason(self) -> Optional[str]:
         """Why the run was declared failed (None when it survived)."""
         return self.app.aborted
-
-    @property
-    def tier_bytes_written(self) -> Dict[str, int]:
-        """Checkpoint bytes written per storage level (L1/L2/L3)."""
-        return dict(self.app.storage_stats.get("tier_bytes_written", {}))
-
-    @property
-    def tier_bytes_read(self) -> Dict[str, int]:
-        """Checkpoint bytes read back per storage level (L1/L2/L3)."""
-        return dict(self.app.storage_stats.get("tier_bytes_read", {}))
-
-    @property
-    def partner_copies(self) -> int:
-        """Completed L2 partner replications."""
-        return self.app.storage_stats.get("partner_copies_completed", 0)
-
-    @property
-    def partner_copies_lost(self) -> int:
-        """Partner replications that died with an endpoint mid-copy."""
-        return self.app.storage_stats.get("partner_copies_lost", 0)
-
-    @property
-    def replication_stalls(self) -> int:
-        """Checkpoints that waited on the bounded L2 in-flight buffer."""
-        return self.app.storage_stats.get("replication_stalls", 0)
-
-    @property
-    def outages_survived(self) -> int:
-        """Correlated switch outages this run recovered from end to end."""
-        return len({rep.failure_time for rep in self.app.recovery
-                    if getattr(rep, "cause", "crash") == "switch-outage"
-                    and not getattr(rep, "unsurvivable", False)
-                    and rep.ranks})
-
-    @property
-    def skipped_in_recovery(self) -> int:
-        """Per-group checkpoint ticks skipped because the group was recovering."""
-        if self.coordinator_report is None:
-            return 0
-        return getattr(self.coordinator_report, "skipped_in_recovery", 0)
-
-    @property
-    def phase_times(self):
-        """Phase-attributed time breakdown from the metrics registry.
-
-        ``{"checkpoint"|"restart"|"recovery": {"records"/"reports": n,
-        "stages": {stage: total_seconds}}}`` — the payload v6 field and the
-        single source the overhead tables read.  Empty when no telemetry was
-        harvested (hand-built results).
-        """
-        if self.telemetry is None:
-            return {}
-        return registry_phase_times(self.telemetry)
-
-    def breakdown(self):
-        """Average per-stage checkpoint breakdown (Figure 9).
-
-        Sourced from the registry's ``phase.checkpoint.stage.*`` histograms
-        when telemetry was harvested (stage totals accumulated over the same
-        records in the same order as ``stage_breakdown``, so the means are
-        bit-identical); falls back to re-deriving from the records otherwise.
-        """
-        if self.telemetry is not None:
-            m = self.telemetry.metrics
-            counter = m.get("ckpt.records")
-            n = int(counter.value) if counter is not None else 0
-            out = CheckpointBreakdown(n_records=n)
-            if n:
-                prefix = "phase.checkpoint.stage."
-                out.stages = {
-                    inst.name[len(prefix):]: inst.total / n
-                    for inst in m
-                    if inst.name.startswith(prefix) and not inst.tags
-                }
-            return out
-        return stage_breakdown(self.app.checkpoint_records)
 
 
 def run_scenario(

@@ -462,10 +462,6 @@ class ApplicationResult:
         """Sum of checkpoint durations over all ranks (the paper's Figure 6a metric)."""
         return sum(rec.duration for rec in self.checkpoint_records)
 
-    def aggregate_coordination_time(self) -> float:
-        """Sum of coordination-only time over all ranks (the Figure 1 metric)."""
-        return sum(rec.coordination_time for rec in self.checkpoint_records)
-
     def per_rank_finish_times(self) -> List[float]:
         """Finish time of each rank's script."""
         return [
@@ -957,11 +953,6 @@ class MpiRuntime:
         delegates verbatim to the configured base storage system.
         """
         result = yield from self.cluster.hierarchy.write(ctx.node_id, nbytes)
-        return result
-
-    def storage_read(self, ctx: RankContext, nbytes: int) -> Generator[Event, None, float]:
-        """Read ``nbytes`` from checkpoint storage for this rank's node."""
-        result = yield from self.cluster.hierarchy.read(ctx.node_id, nbytes)
         return result
 
     def checkpoint_image_write(

@@ -281,14 +281,6 @@ class StateSampler:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def bin_bounds(self) -> List[Tuple[float, float]]:
-        """``[t0, t1)`` per bin (edge ``e`` closes the bin that ends at it)."""
-        return [(e - self.bin_s, e) for e in self.edges]
-
-    def rank_state_matrix(self) -> List[bytes]:
-        """Per-bin rank-state codes (row = bin, byte ``r`` = rank r's state)."""
-        return list(self.rank_states)
-
     def occupancy_fractions(self) -> Dict[str, List[float]]:
         """Fraction of ranks in each state, per bin (stacked-area input)."""
         n = self.n_ranks or (len(self.rank_states[0]) if self.rank_states else 0)

@@ -287,11 +287,6 @@ class StorageHierarchy:
             return
         record.safe_callbacks.append(callback)
 
-    def image_is_safe(self, rank: int, ckpt_id: int) -> bool:
-        """Whether every scheduled copy of one image has materialised."""
-        record = self.catalog.get((rank, ckpt_id))
-        return record is not None and record.safe
-
     def _acquire_slot(self, node: int) -> Generator[Event, None, object]:
         """Claim one in-flight replication slot for ``node`` (may block)."""
         slots = self._slots.get(node)
@@ -377,11 +372,6 @@ class StorageHierarchy:
         record = self._record(rank, ckpt_id, nbytes, origin,
                               domain_state=domain_state)
         record.copies.append(ImageCopy(level, node, self.sim.now))
-
-    def image_levels(self, rank: int, ckpt_id: int) -> Tuple[str, ...]:
-        """Levels currently holding a surviving copy of one image."""
-        record = self.catalog.get((rank, ckpt_id))
-        return record.levels() if record is not None else ()
 
     def node_failed(self, node: int, disk_lost: bool = False) -> None:
         """A node died.  With ``disk_lost`` its stored images are gone forever.

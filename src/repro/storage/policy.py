@@ -22,7 +22,7 @@ keys, so it must not drag the simulator in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -104,10 +104,6 @@ class StoragePolicy:
     def uses_l3(self) -> bool:
         """True when (some) images reach the remote file system."""
         return "L3" in self.levels
-
-    def with_levels(self, *levels: str) -> "StoragePolicy":
-        """A copy of this policy with a different level set."""
-        return replace(self, levels=tuple(levels))
 
     def describe(self) -> str:
         """One-line summary used in experiment tables."""

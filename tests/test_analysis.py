@@ -1,5 +1,7 @@
 """Tests for the analysis layer: metrics, trace statistics, reporting, advisor."""
 
+import random
+
 import pytest
 
 from repro.analysis.advisor import (
@@ -12,6 +14,7 @@ from repro.analysis.metrics import (
     aggregate_coordination_time,
     aggregate_restart_time,
     mean_checkpoint_duration,
+    progress_gap_fraction,
     stage_breakdown,
 )
 from repro.analysis.reporting import Series, Table, format_table, series_table
@@ -59,6 +62,67 @@ def test_stage_breakdown_averages_across_records():
 def test_aggregate_restart_time():
     records = [RestartRecord(rank=r, start=0.0, end=2.0) for r in range(3)]
     assert aggregate_restart_time(records) == pytest.approx(6.0)
+
+
+def _gap_fraction_reference(delivery_times, windows, bin_s=0.25):
+    """Brute force: test every delivery against every bin."""
+    total = empty = 0
+    for lo, hi in windows:
+        t = lo
+        while t < hi:
+            t_next = min(t + bin_s, hi)
+            total += 1
+            if not any(t <= d < t_next for d in delivery_times):
+                empty += 1
+            t = t_next
+    return empty / total if total else 0.0
+
+
+class _Deliveries:
+    """The two ``ApplicationResult`` fields the gap fraction reads."""
+
+    def __init__(self, times):
+        self.deliveries = [(t, 0, 1, 64) for t in times]
+        self.checkpoint_records = []
+
+
+@pytest.mark.parametrize("times, windows", [
+    ([0.0, 0.25, 0.5], [(0.0, 1.0)]),              # on bins' lower edges
+    ([0.25, 0.75], [(0.0, 0.25), (0.5, 0.75)]),    # exactly on t_next
+    ([1.0, 2.1], [(0.0, 1.0), (2.0, 2.1)]),        # at a window's end
+    ([0.3], [(0.3, 0.3), (0.2, 0.2)]),             # zero-width windows only
+    ([0.3, 0.9], [(0.5, 0.5), (0.2, 0.7)]),        # zero-width among others
+    ([], [(0.0, 2.0)]),                            # no deliveries at all
+    ([0.6, 0.6, 0.61, 5.0], [(0.1, 0.85), (4.0, 4.6)]),  # duplicates, ragged bins
+])
+def test_progress_gap_fraction_matches_brute_force(times, windows):
+    got = progress_gap_fraction(_Deliveries(times), windows=windows)
+    want = _gap_fraction_reference(times, [w for w in windows if w[1] > w[0]])
+    assert got == want
+
+
+def test_progress_gap_fraction_matches_brute_force_on_random_edges():
+    rng = random.Random(7)
+    for _ in range(200):
+        bin_s = rng.choice((0.25, 0.1, 0.3))
+        windows = []
+        for _ in range(rng.randint(1, 4)):
+            lo = round(rng.uniform(0.0, 10.0), 2)
+            windows.append((lo, lo + rng.choice((0.0, 0.05, 0.5, 1.7))))
+        # bin edges exactly as the scan computes them, so deliveries can sit on them
+        edges = []
+        for lo, hi in windows:
+            t = lo
+            while t < hi:
+                edges.append(t)
+                t = min(t + bin_s, hi)
+            edges.append(hi)
+        times = rng.sample(edges, min(len(edges), rng.randint(0, 6)))
+        times += [rng.uniform(0.0, 12.0) for _ in range(rng.randint(0, 6))]
+        got = progress_gap_fraction(_Deliveries(times), windows=windows, bin_s=bin_s)
+        want = _gap_fraction_reference(sorted(times), [w for w in windows if w[1] > w[0]],
+                                       bin_s)
+        assert got == want, (times, windows, bin_s)
 
 
 # -------------------------------------------------------------------------- trace analysis

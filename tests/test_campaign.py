@@ -1,6 +1,8 @@
 """Tests for the campaign engine (grids, store, executor, exports)."""
 
 import csv
+import dataclasses
+import json
 import os
 import pickle
 
@@ -720,12 +722,64 @@ def test_payload_v8_carries_sampler_summary():
     summary = payload["sampler_summary"]
     assert summary and summary == telemetry.sampler.summary()
 
-    stored = StoredResult(config, payload)
-    assert stored.sampler_summary == summary
-    assert stored.nic_util_peak == summary["nic_util_peak"]
-    assert stored.nic_util_mean == summary["nic_util_mean"]
-    assert stored.inbox_depth_max == summary["inbox_depth_max"]
-    assert stored.log_bytes_peak == summary["log_bytes_peak"]
+
+# ---------------------------------------------- the metric catalog round trip
+def _elastic_failure_config():
+    """Failures with spares, elastic shrink and all three storage levels."""
+    from repro.experiments.config import FailureSpec
+    from repro.storage import full_hierarchy
+
+    cluster = dataclasses.replace(GIDEON_300, n_nodes=18, nodes_per_switch=8,
+                                  storage_policy=full_hierarchy())
+    return ScenarioConfig(
+        workload="halo2d", n_ranks=16, method="GP", schedule=periodic(2.0),
+        cluster=cluster, max_group_size=8, do_restart=False, seed=3,
+        workload_options={"iterations": 40, "compute_seconds": 0.3,
+                          "memory_bytes": 4 * 1024 * 1024, "message_bytes": 32 * 1024},
+        failure=FailureSpec(mtbf_per_node_s=64, max_failures=4, seed=3,
+                            n_spares=1, reboot_delay_s=5, elastic=True))
+
+
+def _assert_same(stored, live, where):
+    """Equal in value and, recursively, in type."""
+    assert type(stored) is type(live), (where, stored, live)
+    if isinstance(live, dict):
+        assert stored.keys() == live.keys(), where
+        for key in live:
+            _assert_same(stored[key], live[key], f"{where}[{key!r}]")
+    elif isinstance(live, list):
+        assert len(stored) == len(live), where
+        for i, (a, b) in enumerate(zip(stored, live)):
+            _assert_same(a, b, f"{where}[{i}]")
+    else:
+        assert stored == live, where
+
+
+@pytest.mark.parametrize("sample_bin_s", [None, 0.25], ids=["unsampled", "sampled"])
+@pytest.mark.parametrize("make_config", [lambda: ring_config(method="GP1", seed=33),
+                                         _elastic_failure_config],
+                         ids=["failure-free", "failure-elastic"])
+def test_payload_round_trips_every_catalog_metric(make_config, sample_bin_s):
+    from repro.analysis.catalog import CATALOG, SAMPLER_VIEWS
+    from repro.campaign.results import PAYLOAD_VERSION
+    from repro.obs import Telemetry
+
+    config = make_config()
+    live = run_scenario(config, telemetry=Telemetry(trace=False, sample_bin_s=sample_bin_s))
+    if config.failure is not None:
+        # the failure paths ran, so the round trip carries non-default values
+        assert live.failures_injected and live.spare_migrations and live.shrink_restarts
+    assert bool(live.sampler_summary) == (sample_bin_s is not None)
+
+    payload = metrics_payload(live)
+    names = [metric.name for metric in CATALOG]
+    assert set(payload) == set(names) | {"version", "sim_version"}
+    assert payload["version"] == PAYLOAD_VERSION
+
+    stored = StoredResult(config, json.loads(json.dumps(payload)))
+    for name in names + list(SAMPLER_VIEWS):
+        _assert_same(getattr(stored, name), getattr(live, name), name)
+    assert stored.breakdown() == live.breakdown()
 
 
 def test_payload_without_sampler_defaults_empty():
