@@ -69,7 +69,7 @@ def _per_failure(attr: str) -> Callable[[Any], object]:
 def _per_shrink(attr: str) -> Callable[[Any], object]:
     """Sum of one field over the recovery reports of shrink restarts."""
     return lambda r: sum(getattr(rep, attr) for rep in r.app.recovery
-                         if getattr(rep, "shrink", False))
+                         if rep.shrink)
 
 
 def _recovery_stat(key: str) -> Callable[[Any], int]:
@@ -95,15 +95,14 @@ def _availability(r) -> float:
 
 def _outages_survived(r) -> int:
     return len({rep.failure_time for rep in r.app.recovery
-                if getattr(rep, "cause", "crash") == "switch-outage"
-                and not getattr(rep, "unsurvivable", False)
+                if rep.cause == "switch-outage" and not rep.unsurvivable
                 and rep.ranks})
 
 
 def _ranks_after_restart(r) -> Optional[int]:
     ranks = None
     for rep in r.app.recovery:
-        if getattr(rep, "shrink", False):
+        if rep.shrink:
             ranks = rep.ranks_after
     return ranks
 

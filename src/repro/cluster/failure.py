@@ -8,9 +8,10 @@ generate failure events (which node, at what time); two consumers exist:
 * the analytic experiment layer (``expected_lost_work`` and the
   failure-rate sweeps) models lost work post hoc on a failure-free run, and
 * :class:`FailureInjector` turns the events into *simulator interrupts*: the
-  victim node's rank processes are killed mid-run and
-  :class:`~repro.core.restart.LiveRecovery` performs the actual group
-  rollback + log replay, producing measured recovery metrics.
+  victim node's rank processes are killed mid-run and the
+  :class:`~repro.recovery.manager.RecoveryManager` drives a
+  :class:`~repro.core.restart.LiveRecovery` — a group rollback + log replay,
+  or an elastic shrink — producing measured recovery metrics.
 """
 
 from __future__ import annotations
@@ -317,8 +318,9 @@ class FailureInjector:
     kills the victim node's rank processes (they stop mid-operation, their
     in-flight messages die with the connections), decides whether the
     recovery runs concurrently with / merges into / queues behind in-flight
-    recoveries, places relaunches through an optional spare pool, and drives
-    :class:`~repro.core.restart.LiveRecovery`.
+    recoveries, places relaunches through an optional spare pool (or, in
+    elastic mode, shrinks the job when the pool runs dry), and drives one
+    :class:`~repro.core.restart.LiveRecovery` per recovery.
 
     By default failures overlap (``concurrent=True``): the injector submits
     and moves on to the next event, so two failures in channel-independent

@@ -17,25 +17,29 @@ Because checkpoints within a group are coordinated, intra-group channels never
 need replay; under NORM nothing needs replay at all; under GP1 every channel
 may need replay — which is exactly the ordering of Figures 6b, 7 and 8.
 
-Two orchestrators share that stage structure:
+One pipeline, three drivers.  :func:`restart_stages` is the per-rank stage
+sequence (steps 1–4); every restart runs it:
 
-* :func:`simulate_restart` — the *post-hoc* whole-application restart used by
-  the paper's Figures 6b/7/8 (a fresh simulator, every rank restarts from its
-  latest checkpoint), and
-* :class:`LiveRecovery` — the *in-flight* recovery run inside the original
-  simulation when a failure injector kills a rank mid-run: only the victim's
-  group rolls back (to the newest checkpoint every member completed), peers
-  replay their logged messages over the live network while out-of-group ranks
-  keep executing, and the rolled-back scripts re-execute from their resume
-  points.  This is the measured counterpart of the analytic
-  ``expected_lost_work`` model.
+* :func:`simulate_restart` — the *post-hoc* whole-application restart of
+  Figures 6b/7/8: a fresh simulator, every rank restarts from its latest
+  checkpoint, replay volumes from the :func:`replay_volumes` model;
+* :class:`LiveRecovery` rolling a group back — the *in-flight* recovery when
+  a failure injector kills a rank mid-run: only the victim's group rolls back
+  (to the newest checkpoint every member completed), peers replay their
+  logged messages over the live network while out-of-group ranks keep
+  executing, and the scripts re-execute from their resume points (the
+  measured counterpart of the analytic ``expected_lost_work`` model);
+* :class:`LiveRecovery` shrinking the job — elastic restart when spares run
+  out: :func:`plan_repartition` moves the dead ranks' work units onto the
+  survivors, which restore their own and the adopted images.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence,
+                    Set, Tuple, TYPE_CHECKING)
 
 from repro.ckpt.base import CheckpointSnapshot, ProtocolConfig, RestartRecord
 from repro.ckpt.blcr import BlcrModel
@@ -89,6 +93,15 @@ class RestartResult:
         return sum(ch.n_messages for ch in self.channels)
 
 
+def _inter_group_channels(snapshots: Dict[int, CheckpointSnapshot]):
+    """``(q, snapshot_q, p, SS_q[p], RR_p or None)`` per inter-group channel."""
+    for q, snap_q in snapshots.items():
+        for p, sent_at_ckpt in snap_q.ss.items():
+            if p != q and p not in snap_q.group_members:
+                snap_p = snapshots.get(p)
+                yield q, snap_q, p, sent_at_ckpt, snap_p.rr if snap_p is not None else None
+
+
 def replay_volumes(result: ApplicationResult) -> List[ReplayChannel]:
     """Compute, per directed inter-group channel, the volume to replay.
 
@@ -98,37 +111,31 @@ def replay_volumes(result: ApplicationResult) -> List[ReplayChannel]:
     checkpoint: ``max(0, SS_q[p] − RR_p[q])``, realised from the retained log
     entries when the sender's log is available.
     """
-    snapshots = result.snapshots()
     channels: List[ReplayChannel] = []
-    for q, snap_q in snapshots.items():
-        ctx_q = result.contexts[q]
-        log = getattr(ctx_q.protocol, "log", None)
-        for p, sent_at_ckpt in snap_q.ss.items():
-            if p == q or p in snap_q.group_members:
-                continue
-            snap_p = snapshots.get(p)
-            received_at_ckpt = snap_p.rr.get(q, 0) if snap_p is not None else 0
-            volume = max(0, sent_at_ckpt - received_at_ckpt)
-            if volume <= 0:
-                continue
-            if log is not None:
-                entries = [
-                    e
-                    for e in log.entries_for(p)
-                    if received_at_ckpt < e.end_offset <= sent_at_ckpt
-                ]
-                nbytes = sum(e.nbytes for e in entries)
-                n_messages = len(entries)
-                # The log may retain *more* than strictly required if garbage
-                # collection lagged; the replay only covers the required range.
-                if nbytes < volume:
-                    nbytes = volume
-                    n_messages = max(n_messages, 1)
-            else:
-                avg = snap_q.logged_bytes.get(p, 0) / max(1, snap_q.logged_messages.get(p, 0))
-                n_messages = max(1, math.ceil(volume / max(avg, 1.0)))
+    for q, snap_q, p, sent_at_ckpt, rr_p in _inter_group_channels(result.snapshots()):
+        received_at_ckpt = rr_p.get(q, 0) if rr_p is not None else 0
+        volume = max(0, sent_at_ckpt - received_at_ckpt)
+        if volume <= 0:
+            continue
+        log = getattr(result.contexts[q].protocol, "log", None)
+        if log is not None:
+            entries = [
+                e
+                for e in log.entries_for(p)
+                if received_at_ckpt < e.end_offset <= sent_at_ckpt
+            ]
+            nbytes = sum(e.nbytes for e in entries)
+            n_messages = len(entries)
+            # The log may retain *more* than strictly required if garbage
+            # collection lagged; the replay only covers the required range.
+            if nbytes < volume:
                 nbytes = volume
-            channels.append(ReplayChannel(src=q, dst=p, nbytes=nbytes, n_messages=n_messages))
+                n_messages = max(n_messages, 1)
+        else:
+            avg = snap_q.logged_bytes.get(p, 0) / max(1, snap_q.logged_messages.get(p, 0))
+            n_messages = max(1, math.ceil(volume / max(avg, 1.0)))
+            nbytes = volume
+        channels.append(ReplayChannel(src=q, dst=p, nbytes=nbytes, n_messages=n_messages))
     return channels
 
 
@@ -141,20 +148,72 @@ def skip_volumes(result: ApplicationResult) -> Dict[Tuple[int, int], int]:
     suppressed.  The skip volume is ``max(0, RR_p[q] − SS_q[p])`` — non-zero
     when the receiver checkpointed *after* the sender.
     """
-    snapshots = result.snapshots()
     out: Dict[Tuple[int, int], int] = {}
-    for q, snap_q in snapshots.items():
-        for p, sent_at_ckpt in snap_q.ss.items():
-            if p == q or p in snap_q.group_members:
-                continue
-            snap_p = snapshots.get(p)
-            if snap_p is None:
-                continue
-            received_at_ckpt = snap_p.rr.get(q, 0)
-            skip = max(0, received_at_ckpt - sent_at_ckpt)
-            if skip > 0:
-                out[(q, p)] = skip
+    for q, _snap_q, p, sent_at_ckpt, rr_p in _inter_group_channels(result.snapshots()):
+        skip = max(0, rr_p.get(q, 0) - sent_at_ckpt) if rr_p is not None else 0
+        if skip > 0:
+            out[(q, p)] = skip
     return out
+
+
+class _ReplayWait:
+    """Per-rank countdown of owed replay channels; ``done[rank]`` fires at 0."""
+
+    def __init__(self, sim: Simulator, owed: Dict[int, int]) -> None:
+        self.sim = sim
+        self.remaining = dict(owed)
+        self.done = {rank: Event(sim, name="replayed") for rank in owed}
+        for rank, count in owed.items():
+            if count == 0:
+                self.done[rank].succeed(0)
+
+    def arrived(self, dst: int) -> None:
+        """One replay channel into ``dst`` finished."""
+        if dst in self.remaining:
+            self.remaining[dst] -= 1
+            if self.remaining[dst] == 0:
+                self.done[dst].succeed(self.sim.now)
+
+
+def restart_stages(
+    sim: Simulator,
+    network: Any,
+    blcr: BlcrModel,
+    config: ProtocolConfig,
+    restore: Callable[[], Generator[Event, None, bool]],
+    peers: Callable[[], int],
+    replay: Callable[[], Generator[Event, None, None]],
+) -> Generator[Event, None, List[Tuple[str, float, float]]]:
+    """One rank's restart, steps 1–4: the only place stages are written.
+
+    ``restore`` reads the image(s) and returns whether anything was restored
+    (a from-scratch restart skips BLCR's restore exec); ``peers()`` counts
+    the out-of-group peers, one R/S round trip each; ``replay`` resends this
+    rank's logged messages and waits for every replay owed to it.  Returns
+    ``(stage, start, end)`` marks in stage order.
+    """
+    marks: List[Tuple[str, float, float]] = []
+    # 1. re-create the process and restore its image
+    t0 = sim.now
+    if (yield from restore()):
+        yield sim.timeout(blcr.restore_exec_s)
+    marks.append(("image", t0, sim.now))
+    # 2. rebuild MPI internal structures
+    t0 = sim.now
+    yield sim.timeout(config.restart_rebuild_s)
+    marks.append(("rebuild", t0, sim.now))
+    # 3. exchange R/S volumes with out-of-group peers (one round trip each)
+    t0 = sim.now
+    n_peers = peers()
+    if n_peers:
+        rtt = 2 * (network.spec.latency_s + network.spec.per_message_overhead_s)
+        yield sim.timeout(n_peers * rtt)
+    marks.append(("exchange", t0, sim.now))
+    # 4. replay logged messages to out-of-group peers, await the ones owed
+    t0 = sim.now
+    yield from replay()
+    marks.append(("replay", t0, sim.now))
+    return marks
 
 
 def simulate_restart(
@@ -168,7 +227,9 @@ def simulate_restart(
 
     A fresh simulator and cluster (same spec as the original run) are used, so
     restart I/O and replay traffic see the same storage and network contention
-    the original system would.
+    the original system would.  Every rank runs :func:`restart_stages` with
+    the image read from its placement's storage and the replay volumes of
+    :func:`replay_volumes`; the group barrier is computed afterwards.
     """
     if barrier_cost_s < 0:
         raise ValueError("barrier_cost_s must be non-negative")
@@ -195,16 +256,8 @@ def simulate_restart(
         outgoing.setdefault(ch.src, []).append(ch)
 
     prepared_time: Dict[int, float] = {}
-    prepared_event: Dict[int, Event] = {r: Event(sim, name=f"prepared:{r}") for r in range(n_ranks)}
-    incoming_remaining: Dict[int, int] = {r: len(incoming.get(r, [])) for r in range(n_ranks)}
-    incoming_done: Dict[int, Event] = {r: Event(sim, name=f"replayed:{r}") for r in range(n_ranks)}
-    for r in range(n_ranks):
-        if incoming_remaining[r] == 0:
-            incoming_done[r].succeed(0)
-    stage_times: Dict[int, Dict[str, float]] = {r: {} for r in range(n_ranks)}
-    replay_received: Dict[int, int] = {r: 0 for r in range(n_ranks)}
-    replay_sent: Dict[int, int] = {r: 0 for r in range(n_ranks)}
-    resend_ops: Dict[int, int] = {r: 0 for r in range(n_ranks)}
+    wait = _ReplayWait(sim, {r: len(incoming.get(r, [])) for r in range(n_ranks)})
+    stage_times: Dict[int, Dict[str, float]] = {}
     skip_by_sender: Dict[int, int] = {}
     for (q, _p), nbytes in skip_volumes(result).items():
         skip_by_sender[q] = skip_by_sender.get(q, 0) + nbytes
@@ -213,51 +266,31 @@ def simulate_restart(
         node = placement[rank]
         snap = snapshots.get(rank)
         ctx = result.contexts[rank]
-        image_bytes = snap.image_bytes if snap is not None else blcr.image_bytes(ctx.memory_bytes)
 
-        # 1. restore the process image
-        t0 = sim.now
-        yield from storage.read(node, image_bytes)
-        yield sim.timeout(blcr.restore_exec_s)
-        stage_times[rank]["image"] = sim.now - t0
+        def restore():
+            image_bytes = snap.image_bytes if snap is not None else blcr.image_bytes(ctx.memory_bytes)
+            yield from storage.read(node, image_bytes)
+            return True
 
-        # 2. rebuild MPI internal structures
-        t0 = sim.now
-        yield sim.timeout(config.restart_rebuild_s)
-        stage_times[rank]["rebuild"] = sim.now - t0
+        def peers() -> int:
+            if snap is None:
+                return 0
+            return len({p for p in (set(snap.ss) | set(snap.rr))
+                        if p != rank and p not in snap.group_members})
 
-        # 3. exchange R/S volumes with out-of-group peers (one round trip each)
-        t0 = sim.now
-        out_peers: set[int] = set()
-        if snap is not None:
-            out_peers = {
-                p
-                for p in (set(snap.ss) | set(snap.rr))
-                if p != rank and p not in snap.group_members
-            }
-        rtt = 2 * (network.spec.latency_s + network.spec.per_message_overhead_s)
-        if out_peers:
-            yield sim.timeout(len(out_peers) * rtt)
-        stage_times[rank]["exchange"] = sim.now - t0
+        def replay():
+            for ch in outgoing.get(rank, []):
+                # the flushed log is read back from checkpoint storage, then resent
+                yield from storage.read(node, ch.nbytes)
+                yield from network.transfer(node, placement[ch.dst], ch.nbytes)
+                wait.arrived(ch.dst)
+            # ... and wait for every replay destined to this rank
+            yield wait.done[rank]
 
-        # 4. replay logged messages this rank owes to out-of-group peers
-        t0 = sim.now
-        for ch in outgoing.get(rank, []):
-            # the flushed log is read back from checkpoint storage, then resent
-            yield from storage.read(node, ch.nbytes)
-            yield from network.transfer(node, placement[ch.dst], ch.nbytes)
-            replay_sent[rank] += ch.nbytes
-            resend_ops[rank] += ch.n_messages
-            replay_received[ch.dst] += ch.nbytes
-            incoming_remaining[ch.dst] -= 1
-            if incoming_remaining[ch.dst] == 0 and not incoming_done[ch.dst].triggered:
-                incoming_done[ch.dst].succeed(sim.now)
-        # ... and wait for every replay destined to this rank
-        yield incoming_done[rank]
-        stage_times[rank]["replay"] = sim.now - t0
-
+        marks = yield from restart_stages(sim, network, blcr, config,
+                                          restore, peers, replay)
+        stage_times[rank] = {name: t1 - t0 for name, t0, t1 in marks}
         prepared_time[rank] = sim.now
-        prepared_event[rank].succeed(sim.now)
 
     for rank in range(n_ranks):
         sim.process(rank_restart(rank), name=f"restart:{rank}")
@@ -276,15 +309,16 @@ def simulate_restart(
         end = group_ready + barrier_cost_s
         stage_times[rank]["barrier"] = end - prepared_time[rank]
         image_bytes = snap.image_bytes if snap is not None else 0
+        sent = outgoing.get(rank, [])
         out.records.append(
             RestartRecord(
                 rank=rank,
                 start=0.0,
                 end=end,
                 image_bytes=image_bytes,
-                replay_bytes_sent=replay_sent[rank],
-                replay_bytes_received=replay_received[rank],
-                resend_operations=resend_ops[rank],
+                replay_bytes_sent=sum(ch.nbytes for ch in sent),
+                replay_bytes_received=sum(ch.nbytes for ch in incoming.get(rank, [])),
+                resend_operations=sum(ch.n_messages for ch in sent),
                 skip_bytes=skip_by_sender.get(rank, 0),
                 stages=stage_times[rank],
             )
@@ -323,8 +357,10 @@ class RecoveryReport:
     rollback_ranks: Tuple[int, ...]
     #: checkpoint id the group rolled back to (None = restart from scratch)
     target_ckpt_id: Optional[int]
-    detected_at: float = 0.0
-    completed_at: float = 0.0
+    #: None until the failure is detected / the ranks resume (an attempt
+    #: superseded before then never sets them)
+    detected_at: Optional[float] = None
+    completed_at: Optional[float] = None
     ranks: List[RankRecovery] = field(default_factory=list)
     #: channels actually replayed, with measured bytes/messages
     channels: List[ReplayChannel] = field(default_factory=list)
@@ -381,22 +417,43 @@ class RecoveryReport:
         return sum(r.recovery_time_s for r in self.ranks)
 
 
-def rollback_scope(runtime: "MpiRuntime", victims: Sequence[int]) -> Set[int]:
-    """Ranks that must roll back when ``victims`` die: their whole groups.
+def retired_ranks(runtime: "MpiRuntime") -> FrozenSet[int]:
+    """Ranks that own no work unit (of the attached workload, if any).
+
+    An elastic shrink retires the ranks it leaves without a unit: they keep
+    their ids, count as finished, and no failure kills, no rollback scope
+    contains and no later shrink relaunches them.
+    """
+    wl = runtime.workload
+    if wl is None:
+        return frozenset()
+    part = wl.partition
+    return frozenset(r for r in range(runtime.n_ranks) if not part.units_of(r))
+
+
+def group_of(runtime: "MpiRuntime", rank: int) -> Tuple[int, ...]:
+    """``rank``'s checkpoint group without its retired ranks, ascending.
 
     Group membership is the protocol's static definition (finished ranks
     included — a finished group member whose peer rolls back must re-execute
-    its tail so re-generated intra-group traffic lines up).
+    its tail so re-generated intra-group traffic lines up).  VCL and any
+    other global protocol coordinate every rank together.
     """
-    out: Set[int] = set()
+    members = getattr(runtime.ctx(rank).protocol, "group_members", None)
+    retired = retired_ranks(runtime)
+    return tuple(sorted(r for r in members or range(runtime.n_ranks)
+                        if r not in retired))
+
+
+def rollback_scope(runtime: "MpiRuntime", victims: Sequence[int],
+                   shrink: bool = False) -> Set[int]:
+    """Ranks that must roll back when ``victims`` die: their whole groups,
+    or every rank not yet retired when the job shrinks."""
+    if shrink:
+        return set(range(runtime.n_ranks)) - retired_ranks(runtime)
+    out: Set[int] = set(victims)
     for victim in victims:
-        proto = runtime.ctx(victim).protocol
-        members = getattr(proto, "group_members", None)
-        if members is None:
-            # VCL (and any global protocol): every rank coordinates together.
-            members = range(runtime.n_ranks)
-        out.update(members)
-        out.add(victim)
+        out.update(group_of(runtime, victim))
     return out
 
 
@@ -416,16 +473,125 @@ def common_checkpoint_ids(runtime: "MpiRuntime", members: Sequence[int]) -> List
     return sorted(common or (), reverse=True)
 
 
-class LiveRecovery:
-    """In-flight group rollback + replay after an injected failure.
+def snapshot_at(runtime: "MpiRuntime", rank: int,
+                ckpt_id: Optional[int]) -> Optional[CheckpointSnapshot]:
+    """``rank``'s retained snapshot of checkpoint ``ckpt_id`` (None if absent)."""
+    proto = runtime.ctx(rank).protocol
+    if proto is None or ckpt_id is None:
+        return None
+    return next((s for s in proto.snapshot_history() if s.ckpt_id == ckpt_id),
+                None)
 
-    Runs *inside* the application's simulation (unlike
-    :func:`simulate_restart`): the victim's group rolls back to its newest
-    common checkpoint, restores channel accounting and sender logs from the
-    snapshots' resume points, replays logged inter-group messages over the
-    live (contended) network, and re-creates the rank scripts at their resume
-    operation indices while out-of-group ranks keep executing.  Produces a
-    :class:`RecoveryReport` appended to ``runtime.recovery_reports``.
+
+# --------------------------------------------------------------------- elastic restart
+def plan_repartition(
+    runtime: "MpiRuntime",
+    workload: "Workload",
+    failed_ranks: Sequence[int],
+) -> RepartitionPlan:
+    """Decide how the survivors absorb the failed ranks' work units.
+
+    Permanently dead ranks are ``failed_ranks``, every rank currently placed
+    on a failed node and every retired rank (a retired rank never adopts
+    new units).  The orphaned units go to the least compute-loaded survivors;
+    the recovery line is the newest checkpoint id held by every unit-owning
+    rank whose images are *all* still reachable — the survivors' own copies
+    from their own nodes, the dead ranks' copies from their adopters' nodes
+    (the image has to ship over the live network; a copy stranded on a dead
+    node's local disk does not qualify).  ``resume_step`` is the minimum
+    per-unit domain progress recorded with those images; when no retrievable
+    line exists the plan restarts from scratch (``target_ckpt_id=None``,
+    ``resume_step=0``) — always survivable because the scripts simply
+    re-execute everything.
+
+    Raises ``ValueError`` when every rank is dead (nothing can adopt).
+    """
+    part = workload.partition
+    nodes = runtime.cluster.nodes
+    dead = set(failed_ranks) | retired_ranks(runtime)
+    dead.update(r for r in range(runtime.n_ranks)
+                if nodes[runtime.ctx(r).node_id].failed)
+    new_part = part.reassign(sorted(dead), workload.domain().weights())
+    adoptions = tuple(
+        (u, part.owner[u], new_part.owner[u])
+        for u in range(part.n_units)
+        if part.owner[u] != new_part.owner[u]
+    )
+
+    hierarchy = runtime.cluster.hierarchy
+    owners = sorted(part.active_ranks())
+    candidates = common_checkpoint_ids(runtime, owners) if owners else []
+
+    def feasible(cid: int) -> bool:
+        for rank in owners:
+            if rank in dead:
+                if hierarchy.catalog.get((rank, cid)) is None:
+                    return False
+                readers = {dst for _u, src, dst in adoptions if src == rank}
+            else:
+                readers = {rank}
+            if any(hierarchy.restore_plan(rank, cid, runtime.ctx(r).node_id) is None
+                   for r in readers):
+                return False
+        return True
+
+    # the newest feasible line, else restart from scratch
+    line = next((cid for cid in candidates if feasible(cid)), None)
+    progress: List[int] = []
+    if line is not None:
+        for u in range(part.n_units):
+            old_owner = part.owner[u]
+            if old_owner in dead:
+                record = hierarchy.catalog.get((old_owner, line))
+                state = record.domain_state if record is not None else None
+            else:
+                snap = snapshot_at(runtime, old_owner, line)
+                state = (snap.resume.domain_state
+                         if snap is not None and snap.resume is not None
+                         else None)
+            progress.append(state.get(u, 0) if state else 0)
+    return RepartitionPlan(
+        failed_ranks=tuple(sorted(dead)),
+        new_partition=new_part,
+        resume_step=min(progress) if progress else 0,
+        target_ckpt_id=line,
+        adoptions=adoptions,
+    )
+
+
+# --------------------------------------------------------------------- recovery driver
+@dataclass
+class _Plan:
+    """What one recovery attempt restores, decided once the failure is detected."""
+
+    #: ranks that roll back, ascending
+    rollback: List[int]
+    #: rank → the checkpoint its restored state comes from (None = process
+    #: start); read before the rollback truncates the snapshot histories
+    line: Dict[int, Optional[CheckpointSnapshot]]
+    #: ranks that run the restart stages and relaunch (a shrink's survivors)
+    restart: Sequence[int]
+    #: the shrink's repartition (None = roll the victims' groups back)
+    repartition: Optional[RepartitionPlan] = None
+
+
+class LiveRecovery:
+    """In-flight recovery after an injected failure: one driver, two plans.
+
+    Runs *inside* the application's simulation while unaffected ranks keep
+    executing.  The **rollback** plan rolls the victims' groups back to
+    their newest common checkpoint whose images and replay bytes survive,
+    restores channel accounting and sender logs from its resume points,
+    replays logged inter-group messages over the live (contended) network
+    and resumes the scripts at their resume operation indices.  The
+    **shrink** plan (``shrink=True``, elastic restart on spare exhaustion)
+    moves the dead ranks' units onto the survivors (:func:`plan_repartition`),
+    resets every rank not yet retired to process start (exactly-once by
+    construction: channel accounting zeroes on both sides), retires every
+    rank left without a unit and relaunches repartitioned scripts at the
+    recovery line's domain step.  Everything else is shared: verdicts, lost
+    work, per-rank stages, barrier, relaunch, the :class:`RecoveryReport`
+    appended to ``runtime.recovery_reports`` and its span tree.
     """
 
     def __init__(
@@ -444,6 +610,7 @@ class LiveRecovery:
         origin_time: Optional[float] = None,
         cause: str = "crash",
         spare_pool: Optional[Any] = None,
+        shrink: bool = False,
     ) -> None:
         if detection_delay_s < 0:
             raise ValueError("detection_delay_s must be non-negative")
@@ -451,6 +618,8 @@ class LiveRecovery:
             raise ValueError("barrier_cost_s must be non-negative")
         if reboot_delay_s < 0:
             raise ValueError("reboot_delay_s must be non-negative")
+        if shrink and runtime.workload is None:
+            raise ValueError("a shrink needs runtime.workload")
         self.runtime = runtime
         self.victims = tuple(sorted(victims))
         if not self.victims:
@@ -473,6 +642,7 @@ class LiveRecovery:
         #: pool to hand a reserved spare back to when tier selection cancels
         #: a placement (the only surviving image copy is on the dead node)
         self.spare_pool = spare_pool
+        self.shrink = shrink
         #: time of the earliest failure this recovery covers.  A merged or
         #: queued recovery starts later than the failure that triggered it;
         #: the *measured* recovery time must span from the original failure
@@ -482,30 +652,21 @@ class LiveRecovery:
         #: processes spawned by :meth:`run` (restart + replay coroutines);
         #: an abort interrupts them alongside the orchestration itself
         self._children: List["Event"] = []
-        #: telemetry capture (populated only when the runtime traces): the
-        #: in-progress report plus per-rank restart windows and stage marks,
-        #: so the span tree can be emitted from the *report* itself — the
-        #: exported trace matches the RecoveryReport by construction
+        # -- per-attempt measurements (a LiveRecovery runs one attempt) ------
         self._report: Optional[RecoveryReport] = None
-        self._rank_windows: Dict[int, Tuple[float, float]] = {}
-        self._stage_marks: Dict[int, List[Tuple[str, float, float]]] = {}
-        self._trace_emitted = False
+        self._migrated_from: Dict[int, int] = {}
+        self._rebooted: List[int] = []
+        #: adopted image bytes shipped in by a shrink
+        self._shipped = 0
+        #: replay bookkeeping of a rollback (None/empty for a shrink)
+        self._out_by_src: Dict[int, List[Tuple[int, List]]] = {}
+        self._wait: Optional[_ReplayWait] = None
+        self._measured: List[ReplayChannel] = []
+        #: restored rank → (start, end, stage marks) of its restart: the span
+        #: tree is emitted from these and the report, so the two agree
+        self._restarts: Dict[int, Tuple[float, float, List[Tuple[str, float, float]]]] = {}
 
     # -- orchestration --------------------------------------------------------
-    def abort(self) -> None:
-        """Cancel this in-flight recovery (a newer failure superseded it).
-
-        Interrupts the restart/replay coroutines it spawned; the orchestration
-        process itself is interrupted by the caller (the recovery manager).
-        In-flight replayed messages die by rollback-epoch mismatch once the
-        superseding recovery re-rolls the group, so channel accounting stays
-        exact.
-        """
-        for child in self._children:
-            if child.is_alive:
-                child.interrupt("recovery-superseded")
-        del self._children[:]
-
     def run(self) -> Generator[Event, None, Optional[RecoveryReport]]:
         """The recovery coroutine (registered as a process by the manager).
 
@@ -516,66 +677,18 @@ class LiveRecovery:
         try:
             report = yield from self._run_body()
         except Interrupt:
-            self.abort()
-            # a superseding failure cut this attempt short: close its trace
-            # as an aborted recovery span so the timeline shows the attempt
+            # A superseding failure cut this attempt short: stop the
+            # restart/replay coroutines it spawned (in-flight replayed
+            # messages die by rollback-epoch mismatch once the superseding
+            # recovery re-rolls the group, so channel accounting stays
+            # exact) and close its trace as an aborted recovery span.
+            for child in self._children:
+                if child.is_alive:
+                    child.interrupt("recovery-superseded")
             self._emit_trace(aborted=True)
             return None
         self._emit_trace()
         return report
-
-    def _emit_trace(self, aborted: bool = False) -> None:
-        """Retro-emit this recovery's span tree from its report (once).
-
-        The root ``recovery`` span carries the report's measured window
-        (failure → resumption) and rollback ranks as attributes; children are
-        the detection delay, one ``rank_restart`` span per recovered rank
-        (with reboot/image_restore/rebuild/exchange/replay stage sub-spans
-        timed live), and the resume barrier.  Because everything is derived
-        from the :class:`RecoveryReport` and timestamps captured alongside
-        it, the exported tree cannot disagree with the report.
-        """
-        runtime = self.runtime
-        report = self._report
-        if not runtime.telemetry_tracing or report is None or self._trace_emitted:
-            return
-        self._trace_emitted = True
-        tracer = runtime.telemetry.tracer
-        now = runtime.sim.now
-        end = report.completed_at if report.completed_at is not None else now
-        root = tracer.add(
-            "recovery", start=report.failure_time, end=end,
-            track="recovery", category="recovery",
-            aborted=aborted or report.unsurvivable,
-            node=report.node, cause=report.cause,
-            victims=list(report.victims),
-            rollback_ranks=list(report.rollback_ranks),
-            target_ckpt_id=report.target_ckpt_id,
-            unsurvivable=report.unsurvivable,
-        )
-        if report.detected_at is not None:
-            tracer.add("detection", start=report.failure_time,
-                       end=report.detected_at, track="recovery",
-                       category="recovery", parent=root)
-        for rr in report.ranks:
-            window = self._rank_windows.get(rr.rank)
-            if window is None:
-                continue
-            rspan = tracer.add(
-                "rank_restart", start=window[0], end=window[1],
-                track="recovery", category="recovery", parent=root,
-                rank=rr.rank, restart_node=rr.restart_node,
-                migrated_from=rr.migrated_from, image_bytes=rr.image_bytes)
-            for name, t0, t1 in self._stage_marks.get(rr.rank, ()):
-                tracer.add(name, start=t0, end=t1, track="recovery",
-                           category="recovery.stage", parent=rspan)
-        if report.ranks and report.completed_at is not None:
-            windows = [self._rank_windows[rr.rank] for rr in report.ranks
-                       if rr.rank in self._rank_windows]
-            if windows:
-                tracer.add("barrier", start=max(w[1] for w in windows),
-                           end=report.completed_at, track="recovery",
-                           category="recovery", parent=root)
 
     def _run_body(self) -> Generator[Event, None, RecoveryReport]:
         runtime = self.runtime
@@ -586,14 +699,12 @@ class LiveRecovery:
         #: the original failure instant — recovery time is measured from here,
         #: so superseded attempts and queue waits count as recovery time
         t_fail = self.origin_time if self.origin_time is not None else t_attempt
-        report = RecoveryReport(
+        report = self._report = RecoveryReport(
             failure_time=t_fail, node=self.node, victims=self.victims,
             rollback_ranks=(), target_ckpt_id=None,
             superseded_attempts=self.superseded_attempts,
-            cause=self.cause,
+            cause=self.cause, shrink=self.shrink,
         )
-        self._report = report
-        tracing = runtime.telemetry_tracing
 
         # mpirun notices the dead node only after the detection delay; the
         # victim's processes stopped at t_fail, everyone else keeps running.
@@ -601,6 +712,112 @@ class LiveRecovery:
             yield sim.timeout(self.detection_delay_s)
         report.detected_at = sim.now
 
+        plan = self._plan_shrink() if self.shrink else self._plan_rollback()
+        if plan is None:
+            return report  # declared unsurvivable
+
+        # Roll every planned rank back *now*: scripts interrupted, accounting
+        # and sender logs restored, inboxes replaced (stale in-flight
+        # messages die by epoch mismatch at delivery).  A shrink resets its
+        # ranks to process start, so the relaunched repartitioned scripts see
+        # exactly-once delivery on a clean communicator.
+        lost_work: Dict[int, float] = {}
+        resume_index: Dict[int, int] = {}
+        for rank in plan.rollback:
+            snap = plan.line[rank]
+            lost_work[rank] = self._lost_work(rank, snap, t_attempt)
+            resume_index[rank] = runtime.rollback_rank(
+                rank, None if self.shrink else snap)
+        if self.shrink:
+            self._repartition(plan)
+        alive_plans = [] if self.shrink else self._plan_replays(plan.rollback)
+
+        rollback_set = set(plan.rollback)
+        ships = plan.repartition.image_ships() if self.shrink else ()
+        prepared = [
+            sim.process(self._rank_restart(
+                rank, plan.line[rank], [src for src, dst in ships if dst == rank],
+                rollback_set), name=f"recover:{rank}")
+            for rank in plan.restart]
+        self._children.extend(prepared)
+        for src, dst, entries in alive_plans:
+            self._children.append(
+                sim.process(self._alive_replay(src, dst, entries), name="replay"))
+
+        yield sim.all_of(prepared)
+        # 5. group members resume together
+        if self.barrier_cost_s > 0:
+            yield sim.timeout(self.barrier_cost_s)
+
+        resumed_at = sim.now
+        wl = runtime.workload
+        for rank in plan.restart:
+            runtime.relaunch_rank(rank, resume_index[rank],
+                                  program=wl.program(rank) if self.shrink else None)
+        for rank in plan.rollback:
+            line = plan.line[rank]
+            report.ranks.append(RankRecovery(
+                rank=rank,
+                lost_work_s=lost_work[rank],
+                resumed_at=resumed_at,
+                recovery_time_s=resumed_at - t_fail,
+                resume_op_index=resume_index[rank],
+                image_bytes=(line.image_bytes if line is not None
+                             and rank in self._restarts else 0),
+                restart_node=runtime.ctx(rank).node_id,
+                migrated_from=self._migrated_from.get(rank),
+            ))
+        report.completed_at = resumed_at
+        report.channels = self._measured
+        report.placements = [(rank, old, runtime.ctx(rank).node_id)
+                             for rank, old in sorted(self._migrated_from.items())]
+        report.same_switch_placements = sum(
+            1 for _rank, old, new in report.placements
+            if runtime.cluster.network.same_switch(old, new))
+        report.inplace_reboots = len(self._rebooted)
+        report.repartition_bytes_shipped = self._shipped
+        runtime.recovery_reports.append(report)
+        del self._children[:]
+        return report
+
+    def _unsurvivable(self, reason: str) -> None:
+        """Declare the run failed: no surviving copy can restore it."""
+        report = self._report
+        report.unsurvivable = True
+        report.completed_at = self.runtime.sim.now
+        self.runtime.recovery_reports.append(report)
+        self.runtime.abort_application(reason)
+
+    def _lost_work(self, rank: int, line: Optional[CheckpointSnapshot],
+                   t_attempt: float) -> float:
+        """Work ``rank`` discards: its recovery line → where its script stopped."""
+        ctx = self.runtime.ctx(rank)
+        since = line.time if line is not None else ctx.stats.started_at
+        horizon = t_attempt
+        if ctx.halted_at is not None and ctx.halted_at < horizon:
+            # the script stopped before this failure (killed or rolled back
+            # by a superseded recovery attempt): no work was done (hence
+            # none lost) between the halt and now
+            horizon = ctx.halted_at
+        if ctx.stats.finished_at is not None and ctx.stats.finished_at < horizon:
+            horizon = ctx.stats.finished_at  # it had already finished
+        return max(horizon - since, 0.0)
+
+    # -- plans ----------------------------------------------------------------
+    def _plan_rollback(self) -> Optional[_Plan]:
+        """Roll the victims' groups back to their newest feasible common line.
+
+        Each checkpoint group in the rollback set gets its own recovery line
+        (they are usually one and the same group).  With a storage hierarchy
+        configured, the line is the newest common checkpoint whose every
+        image still has a *surviving* copy on some tier; losing the newest
+        one degrades to an older checkpoint, and losing them all makes the
+        failure unsurvivable.  Legacy mode keeps the pre-hierarchy rule
+        (newest common checkpoint, dead nodes' disks assumed readable)
+        bit-for-bit.
+        """
+        runtime = self.runtime
+        report = self._report
         rollback = sorted(rollback_scope(runtime, self.victims))
         report.rollback_ranks = tuple(rollback)
 
@@ -612,22 +829,10 @@ class LiveRecovery:
             for rank in rollback
         }
         assume_rebooted = set(self.dead_nodes)
-
-        # Partition the rollback set into its checkpoint groups and pick each
-        # group's recovery line (they are usually one and the same group).
-        # With a storage hierarchy configured, the recovery line is the newest
-        # common checkpoint whose every image still has a *surviving* copy on
-        # some tier; losing the newest one degrades to an older checkpoint,
-        # and losing them all makes the failure unsurvivable.  Legacy mode
-        # keeps the pre-hierarchy rule (newest common checkpoint, dead nodes'
-        # disks assumed readable) bit-for-bit.
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for rank in rollback:
-            proto = runtime.ctx(rank).protocol
-            members = tuple(sorted(getattr(proto, "group_members", None)
-                                   or range(runtime.n_ranks)))
-            groups.setdefault(members, []).append(rank)
-        target_by_rank: Dict[int, Optional[CheckpointSnapshot]] = {}
+            groups.setdefault(group_of(runtime, rank), []).append(rank)
+        line: Dict[int, Optional[CheckpointSnapshot]] = {}
         target_ids: List[int] = []
         scope_set = set(rollback)
 
@@ -643,9 +848,7 @@ class LiveRecovery:
             older target — this check turns that into an explicit
             unsurvivable verdict instead of a blocked receive.
             """
-            proto = runtime.ctx(rank).protocol
-            snap = next((s for s in proto.snapshot_history()
-                         if s.ckpt_id == cid), None)
+            snap = snapshot_at(runtime, rank, cid)
             resume = snap.resume if snap is not None else None
             if resume is None:
                 return True
@@ -715,52 +918,81 @@ class LiveRecovery:
                 if target_id is None and candidates:
                     # Checkpoints exist but no retrievable set survives: a
                     # real restart has nothing to restore these ranks from.
-                    reason = (f"no surviving copy of checkpoint images for "
-                              f"ranks {sorted(ranks)[:8]} "
-                              f"({self.cause} at t={t_fail:.3f})")
-                    report.unsurvivable = True
-                    report.completed_at = sim.now
-                    runtime.recovery_reports.append(report)
-                    runtime.abort_application(reason)
-                    return report
+                    self._unsurvivable(
+                        f"no surviving copy of checkpoint images for ranks "
+                        f"{sorted(ranks)[:8]} ({self.cause} at "
+                        f"t={report.failure_time:.3f})")
+                    return None
             if target_id is not None:
                 target_ids.append(target_id)
             for rank in ranks:
-                snap = None
-                if target_id is not None:
-                    proto = runtime.ctx(rank).protocol
-                    snap = next(s for s in proto.snapshot_history()
-                                if s.ckpt_id == target_id)
-                target_by_rank[rank] = snap
+                line[rank] = snapshot_at(runtime, rank, target_id)
         report.target_ckpt_id = max(target_ids) if target_ids else None
+        return _Plan(rollback=rollback, line=line, restart=rollback)
 
-        # Roll every member back *now*: scripts interrupted, accounting and
-        # sender logs restored, inboxes replaced (stale in-flight messages
-        # die by epoch mismatch at delivery).
-        resume_index: Dict[int, int] = {}
-        lost_work: Dict[int, float] = {}
-        for rank in rollback:
+    def _plan_shrink(self) -> Optional[_Plan]:
+        """Repartition the dead ranks' units onto the survivors (elastic restart)."""
+        runtime = self.runtime
+        report = self._report
+        try:
+            repartition = plan_repartition(runtime, runtime.workload, self.victims)
+        except ValueError:
+            self._unsurvivable(
+                f"elastic restart impossible: every rank is dead "
+                f"({self.cause} at t={report.failure_time:.3f})")
+            return None
+        cid = repartition.target_ckpt_id
+        rollback = sorted(rollback_scope(runtime, self.victims, shrink=True))
+        report.rollback_ranks = tuple(rollback)
+        report.target_ckpt_id = cid
+        report.ranks_after = repartition.ranks_after
+        report.units_migrated = repartition.units_migrated
+        return _Plan(
+            rollback=rollback,
+            line={rank: snapshot_at(runtime, rank, cid) for rank in rollback},
+            restart=repartition.new_partition.active_ranks(),
+            repartition=repartition,
+        )
+
+    def _repartition(self, plan: _Plan) -> None:
+        """Install the shrink's partition; retire every rank it leaves empty.
+
+        A retired rank keeps its id and counts as finished from here on (the
+        coordinator skips finished ranks, so no checkpoint request reaches
+        it); programs and memory re-derive from the repartitioned domain.
+        """
+        runtime = self.runtime
+        repartition = plan.repartition
+        wl = runtime.workload
+        wl.set_partition(repartition.new_partition,
+                         start_step=repartition.resume_step)
+        for ctx in runtime.contexts:
+            ctx.memory_bytes = wl.memory_bytes(ctx.rank)
+        now = runtime.sim.now
+        retired = retired_ranks(runtime)
+        for rank in plan.rollback:
+            if rank not in retired:
+                continue
             ctx = runtime.ctx(rank)
-            snap = target_by_rank[rank]
-            since = snap.time if snap is not None else ctx.stats.started_at
-            horizon = t_attempt
-            if ctx.halted_at is not None and ctx.halted_at < horizon:
-                # the script stopped before this failure (killed or rolled
-                # back by a superseded recovery attempt): no work was done
-                # (hence none lost) between the halt and now
-                horizon = ctx.halted_at
-            if ctx.stats.finished_at is not None and ctx.stats.finished_at < horizon:
-                horizon = ctx.stats.finished_at  # it had already finished
-            lost_work[rank] = max(horizon - since, 0.0)
-            resume_index[rank] = runtime.rollback_rank(rank, snap)
+            ctx.in_recovery = False
+            ctx.finished = True
+            ctx.stats.finished_at = now
+            if runtime.sampler is not None:
+                runtime.sampler.note_phase(rank, "finished", now)
 
-        # Replay plans, computed after every rollback so truncated logs and
-        # restored R counters are in effect.  A channel needs replay when an
-        # endpoint rolled back: data beyond the receiver's restored R was on
-        # connections the failure reset (or was logged before the sender's
-        # own rollback) and will not be re-sent live.
+    def _plan_replays(self, rollback: List[int]) -> List[Tuple[int, int, List]]:
+        """Replay plans of a rollback; returns the ones alive senders serve.
+
+        Computed after every rollback so truncated logs and restored R
+        counters are in effect.  A channel needs replay when an endpoint
+        rolled back: data beyond the receiver's restored R was on
+        connections the failure reset (or was logged before the sender's
+        own rollback) and will not be re-sent live.
+        """
+        runtime = self.runtime
         rollback_set = set(rollback)
-        plans: List[Tuple[int, int, List]] = []
+        alive_plans: List[Tuple[int, int, List]] = []
+        owed = {r: 0 for r in rollback}
         for ctx in runtime.contexts:
             log = getattr(ctx.protocol, "log", None)
             if log is None:
@@ -771,501 +1003,169 @@ class LiveRecovery:
                     continue
                 received = runtime.ctx(dst).account.received_from(src)
                 entries = log.replay_plan(dst, received)
-                if entries:
-                    plans.append((src, dst, entries))
+                if not entries:
+                    continue
+                if src in rollback_set:
+                    self._out_by_src.setdefault(src, []).append((dst, entries))
+                else:
+                    alive_plans.append((src, dst, entries))
+                if dst in rollback_set:
+                    owed[dst] += 1
+        self._wait = _ReplayWait(runtime.sim, owed)
+        return alive_plans
 
-        out_by_src: Dict[int, List[Tuple[int, List]]] = {}
-        alive_plans: List[Tuple[int, int, List]] = []
-        incoming_remaining: Dict[int, int] = {r: 0 for r in rollback}
-        for src, dst, entries in plans:
-            if src in rollback_set:
-                out_by_src.setdefault(src, []).append((dst, entries))
-            else:
-                alive_plans.append((src, dst, entries))
-            if dst in rollback_set:
-                incoming_remaining[dst] += 1
-        incoming_done: Dict[int, Event] = {
-            r: Event(sim, name="replayed") for r in rollback
-        }
-        for rank in rollback:
-            if incoming_remaining[rank] == 0:
-                incoming_done[rank].succeed(0)
-
-        measured: List[ReplayChannel] = []
-
-        def channel_done(src: int, dst: int, nbytes: int, count: int) -> None:
-            measured.append(ReplayChannel(src=src, dst=dst, nbytes=nbytes,
-                                          n_messages=count))
-            if dst in rollback_set:
-                incoming_remaining[dst] -= 1
-                if incoming_remaining[dst] == 0 and not incoming_done[dst].triggered:
-                    incoming_done[dst].succeed(sim.now)
-
-        rtt = 2 * (runtime.cluster.network.spec.latency_s
-                   + runtime.cluster.network.spec.per_message_overhead_s)
-
-        remote_storage = runtime.cluster.spec.checkpoint_storage == "remote"
-        migrated_from: Dict[int, int] = {}
-        rebooted: List[int] = []
-
-        def alive_replay(src: int, dst: int, entries: List):
-            # An out-of-group survivor serves replay from its in-memory log
-            # in the background while its own script keeps running.
-            try:
-                nbytes, count = yield from runtime.replay_channel(src, dst, entries, False)
-            except Interrupt:
-                return  # recovery superseded; accounting is epoch-protected
-            channel_done(src, dst, nbytes, count)
-
-        def rank_restart(rank: int):
-            # stage marks feed the recovery span tree; None when not tracing
-            marks = self._stage_marks.setdefault(rank, []) if tracing else None
-            entered_at = sim.now
-            try:
-                ctx = runtime.ctx(rank)
-                snap = target_by_rank[rank]
-                new_node = self.placements.get(rank)
-                t0 = sim.now
-                if new_node is not None and new_node != ctx.node_id:
-                    # 0. relaunch on a spare node: every later step (image
-                    # fetch, replay, application traffic) uses the spare's NIC
-                    migrated_from[rank] = runtime.migrate_rank(rank, new_node)
-                elif ctx.node_id in self.dead_nodes:
-                    # in-place restart on the crashed node: wait out its reboot
-                    rebooted.append(rank)
-                    if self.reboot_delay_s > 0:
-                        yield sim.timeout(self.reboot_delay_s)
-                    runtime.cluster.nodes[ctx.node_id].mark_rebooted()
-                    if marks is not None:
-                        marks.append(("reboot", t0, sim.now))
-                # 1. re-create the process and restore its image
-                image_bytes = snap.image_bytes if snap is not None else 0
-                t0 = sim.now
-                if image_bytes > 0:
-                    if hierarchy.legacy:
-                        old = migrated_from.get(rank)
-                        if old is not None and not remote_storage:
-                            # legacy local storage: the image sits on the dead
-                            # node's (surviving) disk — read it there and ship
-                            # it to the spare over the network
-                            yield from hierarchy.read(old, image_bytes)
-                            yield from runtime.cluster.network.transfer(
-                                old, ctx.node_id, image_bytes)
-                        else:
-                            # local disk in place, or checkpoint servers that
-                            # stream the image straight to wherever the rank is
-                            yield from hierarchy.read(ctx.node_id, image_bytes)
-                    else:
-                        # tier selection: cheapest copy that *still* survives
-                        # (re-resolved here — a correlated failure may have
-                        # taken the planned source since the target was picked;
-                        # an in-place node has rebooted by now)
-                        plan = hierarchy.restore_plan(
-                            rank, snap.ckpt_id, ctx.node_id)
-                        if plan is None:
-                            report.unsurvivable = True
-                            report.completed_at = sim.now
-                            runtime.recovery_reports.append(report)
-                            runtime.abort_application(
-                                f"image of rank {rank} ckpt {snap.ckpt_id} lost "
-                                f"mid-recovery ({self.cause})")
-                            return
-                        report.restore_tiers[rank] = plan.level
-                        yield from hierarchy.perform_restore(
-                            plan, ctx.node_id, image_bytes)
-                    yield sim.timeout(self.blcr.restore_exec_s)
-                if marks is not None:
-                    marks.append(("image_restore", t0, sim.now))
-                # 2. rebuild MPI internal structures
-                t0 = sim.now
-                yield sim.timeout(self.config.restart_rebuild_s)
-                if marks is not None:
-                    marks.append(("rebuild", t0, sim.now))
-                # 3. R/S exchange with peers outside the rollback set
-                t0 = sim.now
-                out_peers = {p for p in ctx.account.peers() if p not in rollback_set}
-                if out_peers:
-                    yield sim.timeout(len(out_peers) * rtt)
-                if marks is not None:
-                    marks.append(("exchange", t0, sim.now))
-                # 4. replay this rank's own logged messages (flushed log read back)
-                t0 = sim.now
-                for dst, entries in out_by_src.get(rank, []):
-                    nbytes, count = yield from runtime.replay_channel(rank, dst, entries, True)
-                    channel_done(rank, dst, nbytes, count)
-                # ... and wait for everything owed to this rank
-                yield incoming_done[rank]
-                if marks is not None:
-                    marks.append(("replay", t0, sim.now))
-                    self._rank_windows[rank] = (entered_at, sim.now)
-            except Interrupt:
-                return  # recovery superseded; the new attempt re-rolls us
-
-        prepared = [sim.process(rank_restart(rank), name=f"recover:{rank}")
-                    for rank in rollback]
-        self._children.extend(prepared)
-        for src, dst, entries in alive_plans:
-            self._children.append(
-                sim.process(alive_replay(src, dst, entries), name="replay"))
-
-        yield sim.all_of(prepared)
-        # 5. group members resume together
-        if self.barrier_cost_s > 0:
-            yield sim.timeout(self.barrier_cost_s)
-
-        resumed_at = sim.now
-        network = runtime.cluster.network
-        for rank in rollback:
-            snap = target_by_rank[rank]
-            ctx = runtime.ctx(rank)
-            runtime.relaunch_rank(rank, resume_index[rank])
-            report.ranks.append(RankRecovery(
-                rank=rank,
-                lost_work_s=lost_work[rank],
-                resumed_at=resumed_at,
-                recovery_time_s=resumed_at - t_fail,
-                resume_op_index=resume_index[rank],
-                image_bytes=snap.image_bytes if snap is not None else 0,
-                restart_node=ctx.node_id,
-                migrated_from=migrated_from.get(rank),
-            ))
-        report.completed_at = resumed_at
-        report.channels = measured
-        report.placements = [(rank, old, runtime.ctx(rank).node_id)
-                             for rank, old in sorted(migrated_from.items())]
-        report.same_switch_placements = sum(
-            1 for _rank, old, new in report.placements
-            if network.same_switch(old, new))
-        report.inplace_reboots = len(rebooted)
-        runtime.recovery_reports.append(report)
-        del self._children[:]
-        return report
-
-
-# --------------------------------------------------------------------- elastic restart
-def plan_repartition(
-    runtime: "MpiRuntime",
-    workload: "Workload",
-    failed_ranks: Sequence[int],
-) -> RepartitionPlan:
-    """Decide how the survivors absorb the failed ranks' work units.
-
-    Permanently dead ranks are ``failed_ranks`` plus every rank currently
-    placed on a failed node (a previously retired rank must never adopt new
-    units).  The orphaned units go to the least compute-loaded survivors;
-    the recovery line is the newest checkpoint id held by every unit-owning
-    rank whose images are *all* still reachable — the survivors' own copies
-    from their own nodes, the dead ranks' copies from their adopters' nodes
-    (the image has to ship over the live network; a copy stranded on a dead
-    node's local disk does not qualify).  ``resume_step`` is the minimum
-    per-unit domain progress recorded with those images; when no retrievable
-    line exists the plan restarts from scratch (``target_ckpt_id=None``,
-    ``resume_step=0``) — always survivable because the scripts simply
-    re-execute everything.
-
-    Raises ``ValueError`` when every rank is dead (nothing can adopt).
-    """
-    part = workload.partition
-    nodes = runtime.cluster.nodes
-    dead = set(failed_ranks)
-    dead.update(r for r in range(runtime.n_ranks)
-                if nodes[runtime.ctx(r).node_id].failed)
-    new_part = part.reassign(sorted(dead), workload.domain().weights())
-    adoptions = tuple(
-        (u, part.owner[u], new_part.owner[u])
-        for u in range(part.n_units)
-        if part.owner[u] != new_part.owner[u]
-    )
-
-    hierarchy = runtime.cluster.hierarchy
-    owners = sorted(part.active_ranks())
-    candidates = common_checkpoint_ids(runtime, owners) if owners else []
-
-    def snapshot_at(rank: int, cid: int) -> Optional[CheckpointSnapshot]:
-        proto = runtime.ctx(rank).protocol
-        if proto is None:
-            return None
-        return next((s for s in proto.snapshot_history() if s.ckpt_id == cid),
-                    None)
-
-    def feasible(cid: int) -> bool:
-        for rank in owners:
-            if rank in dead:
-                record = hierarchy.catalog.get((rank, cid))
-                if record is None:
-                    return False
-                adopters = {dst for u, src, dst in adoptions if src == rank}
-                for adopter in adopters:
-                    reader = runtime.ctx(adopter).node_id
-                    if hierarchy.restore_plan(rank, cid, reader) is None:
-                        return False
-            else:
-                reader = runtime.ctx(rank).node_id
-                if hierarchy.restore_plan(rank, cid, reader) is None:
-                    return False
-        return True
-
-    for cid in candidates:
-        if not feasible(cid):
-            continue
-        progress: List[int] = []
-        for u in range(part.n_units):
-            old_owner = part.owner[u]
-            if old_owner in dead:
-                record = hierarchy.catalog.get((old_owner, cid))
-                state = record.domain_state if record is not None else None
-            else:
-                snap = snapshot_at(old_owner, cid)
-                state = (snap.resume.domain_state
-                         if snap is not None and snap.resume is not None
-                         else None)
-            progress.append(state.get(u, 0) if state else 0)
-        return RepartitionPlan(
-            failed_ranks=tuple(sorted(dead)),
-            new_partition=new_part,
-            resume_step=min(progress) if progress else 0,
-            target_ckpt_id=cid,
-            adoptions=adoptions,
-        )
-    return RepartitionPlan(
-        failed_ranks=tuple(sorted(dead)),
-        new_partition=new_part,
-        resume_step=0,
-        target_ckpt_id=None,
-        adoptions=adoptions,
-    )
-
-
-class ElasticRestart:
-    """Shrink the job onto the surviving ranks when spares are exhausted.
-
-    The alternative to :class:`LiveRecovery`'s wait-for-reboot path: the
-    :class:`~repro.recovery.manager.RecoveryManager` diverts here (elastic
-    mode) when a victim cannot be replaced.  The whole application resets to
-    a *globally consistent* line: every rank rolls back to process start
-    (channel accounting zeroed on both sides — exactly-once delivery is
-    preserved by construction), the dead ranks' work units are redistributed
-    over the survivors (:func:`plan_repartition`), the dead ranks' newest
-    retrievable checkpoint images are shipped to their adopters over the
-    live network, and the survivors relaunch with *repartitioned* scripts
-    that resume at the recovery line's common domain step.  Dead ranks keep
-    their rank ids but own nothing and are marked finished — no rank
-    renumbering, no further traffic touches them.
-    """
-
-    def __init__(
-        self,
-        runtime: "MpiRuntime",
-        victims: Sequence[int],
-        workload: "Workload",
-        detection_delay_s: float = 0.25,
-        barrier_cost_s: float = 0.02,
-        blcr: Optional[BlcrModel] = None,
-        config: Optional[ProtocolConfig] = None,
-        node: int = -1,
-        superseded_attempts: int = 0,
-        origin_time: Optional[float] = None,
-        cause: str = "crash",
-    ) -> None:
-        if detection_delay_s < 0:
-            raise ValueError("detection_delay_s must be non-negative")
-        if barrier_cost_s < 0:
-            raise ValueError("barrier_cost_s must be non-negative")
-        self.runtime = runtime
-        self.victims = tuple(sorted(victims))
-        if not self.victims:
-            raise ValueError("victims must not be empty")
-        self.workload = workload
-        self.detection_delay_s = detection_delay_s
-        self.barrier_cost_s = barrier_cost_s
-        family = runtime.protocol_family
-        self.blcr = blcr if blcr is not None else getattr(family, "blcr", None) or BlcrModel()
-        self.config = config if config is not None else getattr(family, "config", None) or ProtocolConfig()
-        self.node = node
-        self.superseded_attempts = superseded_attempts
-        self.origin_time = origin_time
-        self.cause = cause
-        #: manager-API compatibility: an elastic restart never reserves spares
-        self.placements: Dict[int, int] = {}
-        self._children: List[Event] = []
-
-    def abort(self) -> None:
-        """Cancel this in-flight shrink (a newer failure superseded it)."""
-        for child in self._children:
-            if child.is_alive:
-                child.interrupt("recovery-superseded")
-        del self._children[:]
-
-    def run(self) -> Generator[Event, None, Optional[RecoveryReport]]:
-        """The shrink-restart coroutine (registered as a process by the manager)."""
-        try:
-            report = yield from self._run_body()
-        except Interrupt:
-            self.abort()
-            return None
-        return report
-
-    def _run_body(self) -> Generator[Event, None, RecoveryReport]:
+    # -- per-rank stages --------------------------------------------------------
+    def _rank_restart(self, rank: int, line: Optional[CheckpointSnapshot],
+                      donors: Sequence[int], rollback_set: Set[int]):
+        """Move onto a spare or reboot in place, then :func:`restart_stages`."""
         runtime = self.runtime
         sim = runtime.sim
-        wl = self.workload
-        t_attempt = sim.now
-        t_fail = self.origin_time if self.origin_time is not None else t_attempt
-        report = RecoveryReport(
-            failure_time=t_fail, node=self.node, victims=self.victims,
-            rollback_ranks=(), target_ckpt_id=None,
-            superseded_attempts=self.superseded_attempts,
-            cause=self.cause, shrink=True,
-        )
-
-        if self.detection_delay_s > 0:
-            yield sim.timeout(self.detection_delay_s)
-        report.detected_at = sim.now
-
+        ctx = runtime.ctx(rank)
+        entered_at = sim.now
+        marks: List[Tuple[str, float, float]] = []
         try:
-            plan = plan_repartition(runtime, wl, self.victims)
-        except ValueError:
-            report.unsurvivable = True
-            report.completed_at = sim.now
-            runtime.recovery_reports.append(report)
-            runtime.abort_application(
-                f"elastic restart impossible: every rank is dead "
-                f"({self.cause} at t={t_fail:.3f})")
-            return report
+            new_node = self.placements.get(rank)
+            if new_node is not None and new_node != ctx.node_id:
+                # relaunch on a spare node: every later step (image fetch,
+                # replay, application traffic) uses the spare's NIC
+                self._migrated_from[rank] = runtime.migrate_rank(rank, new_node)
+            elif ctx.node_id in self.dead_nodes:
+                # in-place restart on the crashed node: wait out its reboot
+                self._rebooted.append(rank)
+                if self.reboot_delay_s > 0:
+                    yield sim.timeout(self.reboot_delay_s)
+                runtime.cluster.nodes[ctx.node_id].mark_rebooted()
+                marks.append(("reboot", entered_at, sim.now))
+            marks += yield from restart_stages(
+                sim, runtime.cluster.network, self.blcr, self.config,
+                restore=lambda: self._restore(rank, line, donors),
+                peers=lambda: sum(1 for p in ctx.account.peers()
+                                  if p not in rollback_set),
+                replay=lambda: self._replay(rank))
+        except Interrupt:
+            return  # superseded (or the job aborted); the new attempt re-rolls us
+        self._restarts[rank] = (entered_at, sim.now, marks)
 
+    def _restore(self, rank: int, line: Optional[CheckpointSnapshot],
+                 donors: Sequence[int]):
+        """Image stage reads: ``rank``'s own image, then the ones it adopts."""
+        if line is None:
+            return False  # restart from scratch: nothing to read
+        runtime = self.runtime
         hierarchy = runtime.cluster.hierarchy
-        all_ranks = range(runtime.n_ranks)
-        cid = plan.target_ckpt_id
-        report.rollback_ranks = tuple(all_ranks)
-        report.target_ckpt_id = cid
-        report.ranks_after = plan.ranks_after
-        report.units_migrated = plan.units_migrated
+        node = runtime.ctx(rank).node_id
+        nbytes = line.image_bytes
+        if nbytes > 0:
+            old = self._migrated_from.get(rank)
+            if not hierarchy.legacy:
+                yield from self._fetch(rank, rank, line.ckpt_id, nbytes)
+            elif old is not None and runtime.cluster.spec.checkpoint_storage != "remote":
+                # legacy local storage: the image sits on the dead node's
+                # (surviving) disk — read it there and ship it to the spare
+                yield from hierarchy.read(old, nbytes)
+                yield from runtime.cluster.network.transfer(old, node, nbytes)
+            else:
+                # local disk in place, or checkpoint servers that stream the
+                # image straight to wherever the rank is
+                yield from hierarchy.read(node, nbytes)
+        for donor in donors:
+            # plan_repartition only picks a line every dead owner's image is
+            # catalogued for; the adopted units' progress ships in from it
+            shipped = hierarchy.catalog[(donor, line.ckpt_id)].nbytes
+            yield from self._fetch(rank, donor, line.ckpt_id, shipped)
+            self._shipped += shipped
+        return nbytes > 0 or bool(donors)
 
-        # Lost work is measured against the recovery line each rank's state
-        # actually comes from (its snapshot at the target checkpoint), read
-        # *before* the global rollback clears the histories.
-        line_time: Dict[int, float] = {}
-        if cid is not None:
-            for rank in all_ranks:
-                proto = runtime.ctx(rank).protocol
-                snap = (next((s for s in proto.snapshot_history()
-                              if s.ckpt_id == cid), None)
-                        if proto is not None else None)
-                if snap is not None:
-                    line_time[rank] = snap.time
+    def _fetch(self, rank: int, owner: int, ckpt_id: int, nbytes: int):
+        """Read ``owner``'s image to ``rank``'s node from the cheapest tier.
 
-        # Global reset: every rank (survivor, victim, already-retired) rolls
-        # back to process start.  Channel accounting zeroes on both sides and
-        # every in-flight message dies by rollback-epoch mismatch, so the
-        # relaunched repartitioned scripts see exactly-once delivery on a
-        # clean communicator.
-        lost_work: Dict[int, float] = {}
-        for rank in all_ranks:
-            ctx = runtime.ctx(rank)
-            since = line_time.get(rank, ctx.stats.started_at)
-            horizon = t_attempt
-            if ctx.halted_at is not None and ctx.halted_at < horizon:
-                horizon = ctx.halted_at
-            if ctx.stats.finished_at is not None and ctx.stats.finished_at < horizon:
-                horizon = ctx.stats.finished_at
-            lost_work[rank] = max(horizon - since, 0.0)
-            runtime.rollback_rank(rank, None)
+        The tier is re-resolved here, not at planning time: a correlated
+        failure may have taken the planned source since, and an in-place
+        node has rebooted by now.
+        """
+        runtime = self.runtime
+        hierarchy = runtime.cluster.hierarchy
+        node = runtime.ctx(rank).node_id
+        plan = hierarchy.restore_plan(owner, ckpt_id, node)
+        if plan is None:
+            self._unsurvivable(f"image of rank {owner} ckpt {ckpt_id} lost "
+                               f"mid-recovery ({self.cause})")
+            raise Interrupt("job-aborted")
+        if owner == rank:
+            self._report.restore_tiers[rank] = plan.level
+        yield from hierarchy.perform_restore(plan, node, nbytes)
 
-        # Retire the dead ranks: they keep their ids, own nothing under the
-        # new partition, and count as finished from here on (the coordinator
-        # skips finished ranks, so no further checkpoint requests reach them).
-        for rank in plan.failed_ranks:
-            ctx = runtime.ctx(rank)
-            ctx.in_recovery = False
-            ctx.finished = True
-            ctx.stats.finished_at = sim.now
-            if runtime.sampler is not None:
-                runtime.sampler.note_phase(rank, "finished", sim.now)
+    def _replay(self, rank: int):
+        """Resend ``rank``'s logged messages (the flushed log is read back),
+        then wait for everything owed to it (nothing after a shrink)."""
+        for dst, entries in self._out_by_src.get(rank, ()):
+            yield from self._replay_channel(rank, dst, entries, True)
+        if self._wait is not None:
+            yield self._wait.done[rank]
 
-        # Install the new layout: derived programs and memory re-derive from
-        # the repartitioned domain, resuming at the recovery line's step.
-        wl.set_partition(plan.new_partition, start_step=plan.resume_step)
-        for rank in all_ranks:
-            runtime.ctx(rank).memory_bytes = wl.memory_bytes(rank)
+    def _alive_replay(self, src: int, dst: int, entries: List):
+        # An out-of-group survivor serves replay from its in-memory log in
+        # the background while its own script keeps running.
+        try:
+            yield from self._replay_channel(src, dst, entries, False)
+        except Interrupt:
+            return  # recovery superseded; accounting is epoch-protected
 
-        survivors = plan.new_partition.active_ranks()
-        shipped = [0]
-        restored_bytes: Dict[int, int] = {}
-        ships_to: Dict[int, List[int]] = {}
-        for src, dst in plan.image_ships():
-            ships_to.setdefault(dst, []).append(src)
+    def _replay_channel(self, src: int, dst: int, entries: List,
+                        from_storage: bool):
+        nbytes, count = yield from self.runtime.replay_channel(
+            src, dst, entries, from_storage)
+        self._measured.append(ReplayChannel(src=src, dst=dst, nbytes=nbytes,
+                                            n_messages=count))
+        self._wait.arrived(dst)
 
-        def rank_restart(rank: int):
-            try:
-                ctx = runtime.ctx(rank)
-                if cid is not None:
-                    # 1. restore this survivor's own image from its cheapest
-                    # surviving tier
-                    own = hierarchy.catalog.get((rank, cid))
-                    if own is not None:
-                        rplan = hierarchy.restore_plan(rank, cid, ctx.node_id)
-                        if rplan is not None:
-                            report.restore_tiers[rank] = rplan.level
-                            yield from hierarchy.perform_restore(
-                                rplan, ctx.node_id, own.nbytes)
-                            restored_bytes[rank] = own.nbytes
-                    # 2. adopt: ship each dead donor's newest image here over
-                    # the live network (the adopted units' progress)
-                    for src in ships_to.get(rank, ()):
-                        record = hierarchy.catalog.get((src, cid))
-                        if record is None:
-                            continue
-                        splan = hierarchy.restore_plan(src, cid, ctx.node_id)
-                        if splan is None:
-                            report.unsurvivable = True
-                            report.completed_at = sim.now
-                            runtime.recovery_reports.append(report)
-                            runtime.abort_application(
-                                f"image of dead rank {src} ckpt {cid} lost "
-                                f"mid-shrink ({self.cause})")
-                            return
-                        yield from hierarchy.perform_restore(
-                            splan, ctx.node_id, record.nbytes)
-                        shipped[0] += record.nbytes
-                    yield sim.timeout(self.blcr.restore_exec_s)
-                # 3. rebuild MPI structures for the shrunk communicator
-                yield sim.timeout(self.config.restart_rebuild_s)
-            except Interrupt:
-                return  # superseded; the new attempt re-rolls everything
+    # -- telemetry -----------------------------------------------------------------
+    def _emit_trace(self, aborted: bool = False) -> None:
+        """Retro-emit this recovery's span tree from its report.
 
-        procs = [sim.process(rank_restart(rank), name=f"shrink:{rank}")
-                 for rank in survivors]
-        self._children.extend(procs)
-        yield sim.all_of(procs)
-        if runtime.aborted is not None:
-            return report
-        if self.barrier_cost_s > 0:
-            yield sim.timeout(self.barrier_cost_s)
-
-        resumed_at = sim.now
-        report.repartition_bytes_shipped = shipped[0]
-        for rank in survivors:
-            runtime.relaunch_rank(rank, 0, program=wl.program(rank))
-        for rank in all_ranks:
-            report.ranks.append(RankRecovery(
-                rank=rank,
-                lost_work_s=lost_work[rank],
-                resumed_at=resumed_at,
-                recovery_time_s=resumed_at - t_fail,
-                resume_op_index=0,
-                image_bytes=restored_bytes.get(rank, 0),
-                restart_node=runtime.ctx(rank).node_id,
-            ))
-        report.completed_at = resumed_at
-        if runtime.telemetry_tracing:
-            runtime.telemetry.tracer.add(
-                "recovery", start=t_fail, end=resumed_at,
-                track="recovery", category="recovery",
-                node=report.node, cause=report.cause, shrink=True,
-                victims=list(report.victims),
-                ranks_after=report.ranks_after,
-                units_migrated=report.units_migrated,
-                target_ckpt_id=cid)
-        runtime.recovery_reports.append(report)
-        del self._children[:]
-        return report
+        The root ``recovery`` span carries the report's window (failure →
+        resumption, or → now for an attempt cut short) and plan; children
+        are the detection delay, one ``rank_restart`` per restored rank (its
+        reboot and :func:`restart_stages` marks as sub-spans) and the resume
+        barrier — derived from the report, so the tree cannot disagree.
+        """
+        runtime = self.runtime
+        report = self._report
+        if not runtime.telemetry_tracing or report is None:
+            return
+        tracer = runtime.telemetry.tracer
+        end = report.completed_at if report.completed_at is not None else runtime.sim.now
+        root = tracer.add(
+            "recovery", start=report.failure_time, end=end,
+            track="recovery", category="recovery",
+            aborted=aborted or report.unsurvivable,
+            node=report.node, cause=report.cause,
+            victims=list(report.victims),
+            rollback_ranks=list(report.rollback_ranks),
+            target_ckpt_id=report.target_ckpt_id,
+            unsurvivable=report.unsurvivable,
+            shrink=report.shrink,
+            ranks_after=report.ranks_after,
+            units_migrated=report.units_migrated,
+        )
+        if report.detected_at is not None:
+            tracer.add("detection", start=report.failure_time,
+                       end=report.detected_at, track="recovery",
+                       category="recovery", parent=root)
+        ends = []
+        for rr in report.ranks:
+            if rr.rank not in self._restarts:
+                continue  # retired by a shrink: nothing restored
+            start, end, marks = self._restarts[rr.rank]
+            ends.append(end)
+            rspan = tracer.add(
+                "rank_restart", start=start, end=end,
+                track="recovery", category="recovery", parent=root,
+                rank=rr.rank, restart_node=rr.restart_node,
+                migrated_from=rr.migrated_from, image_bytes=rr.image_bytes)
+            for name, t0, t1 in marks:
+                tracer.add(name, start=t0, end=t1, track="recovery",
+                           category="recovery.stage", parent=rspan)
+        if ends and report.completed_at is not None:
+            tracer.add("barrier", start=max(ends), end=report.completed_at,
+                       track="recovery", category="recovery", parent=root)

@@ -61,8 +61,8 @@ class FailureSpec:
       concurrency experiments compare against,
     * ``elastic`` enables shrink restart: when a victim cannot be replaced
       from the spare pool, the job repartitions its work units onto the
-      surviving ranks (:class:`~repro.core.restart.ElasticRestart`) instead
-      of waiting out an in-place node reboot.
+      surviving ranks (a shrink :class:`~repro.core.restart.LiveRecovery`)
+      instead of waiting out an in-place node reboot.
     """
 
     at_s: Optional[float] = None

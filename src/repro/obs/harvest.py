@@ -80,13 +80,11 @@ def harvest_app(app, telemetry: Telemetry) -> None:
     m.merge_counts(app.recovery_stats or {}, prefix="recovery.")
     m.counter("recovery.reports").inc(len(app.recovery))
     for rep in app.recovery:
-        detected = getattr(rep, "detected_at", None)
-        completed = getattr(rep, "completed_at", None)
-        if detected is not None:
-            m.histogram(RECOVERY_PREFIX + "detection").observe(detected - rep.failure_time)
-        if completed is not None:
-            m.histogram(RECOVERY_PREFIX + "total").observe(completed - rep.failure_time)
-        for rr in getattr(rep, "ranks", ()):
+        if rep.detected_at is not None:
+            m.histogram(RECOVERY_PREFIX + "detection").observe(rep.detected_at - rep.failure_time)
+        if rep.completed_at is not None:
+            m.histogram(RECOVERY_PREFIX + "total").observe(rep.completed_at - rep.failure_time)
+        for rr in rep.ranks:
             m.histogram(RECOVERY_PREFIX + "rank_restart").observe(rr.recovery_time_s)
             m.histogram(RECOVERY_PREFIX + "lost_work").observe(rr.lost_work_s)
 

@@ -12,7 +12,9 @@ situations long-horizon runs hit constantly:
 
 :class:`RecoveryManager` owns this lifecycle.  Failure events are *submitted*
 (never awaited) by the :class:`~repro.cluster.failure.FailureInjector`; the
-manager kills the victims, computes the rollback scope, and decides:
+manager kills the victims (never a retired rank — see
+:func:`~repro.core.restart.retired_ranks`), computes the rollback scope, and
+decides:
 
 ``merge``
     The scope overlaps an in-flight (or queued) recovery: that recovery is
@@ -34,7 +36,14 @@ manager kills the victims, computes the rollback scope, and decides:
     the measured recovery windows overlap.
 
 Victims are placed through an optional :class:`~repro.recovery.spare.
-SparePool` (topology-aware, degrading to in-place reboot on exhaustion).
+SparePool` (topology-aware, degrading to in-place reboot on exhaustion).  In
+elastic mode a failure the pool cannot cover *shrinks* the job instead.  A
+shrink resets every rank not yet retired, so its scope is all of them: it
+queues until no other recovery is active, and any later failure merges into
+it (the merged attempt shrinks again — the reset already happened).  Queued
+failures drop the victims a shrink retired meanwhile, and vanish when none
+are left.  Every recovery is one :class:`~repro.core.restart.LiveRecovery`;
+only its plan (group rollback or shrink) differs.
 """
 
 from __future__ import annotations
@@ -42,11 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
+from repro.core.restart import LiveRecovery, retired_ranks, rollback_scope
 from repro.sim.primitives import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.failure import FailureEvent
-    from repro.core.restart import LiveRecovery
     from repro.mpi.runtime import MpiRuntime
     from repro.recovery.spare import SparePool
     from repro.sim.engine import SimProcess
@@ -54,32 +63,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class _Pending:
-    """A failure whose recovery is queued behind a channel-coupled one."""
+    """A failure awaiting its recovery (about to start, or queued)."""
 
     event: "FailureEvent"
     victims: Set[int]
-    scope: Set[int]
     attempts: int = 0
     #: time of the earliest failure this entry covers (queue waits and
     #: superseded attempts count toward the measured recovery time)
     origin_time: float = 0.0
+    #: a superseded shrink already reset its ranks: only another shrink
+    #: covers them all, whatever the spare pool holds now
+    reset: bool = False
+    #: decided by :meth:`RecoveryManager._plan` just before admission/start
+    shrink: bool = False
+    #: ranks the recovery rolls back (every rank not yet retired for a shrink)
+    scope: Set[int] = field(default_factory=set)
+
+    def merge(self, other: "_Pending", superseded: bool) -> None:
+        """Absorb ``other`` (an aborted attempt or a queued failure)."""
+        self.victims |= other.victims
+        self.attempts += other.attempts + int(superseded)
+        self.origin_time = min(self.origin_time, other.origin_time)
+        self.reset = self.reset or other.reset or (superseded and other.shrink)
 
 
 @dataclass
 class _Active:
     """One in-flight recovery."""
 
-    event: "FailureEvent"
-    victims: Set[int]
-    scope: Set[int]
+    pending: _Pending
     recovery: "LiveRecovery"
     proc: "SimProcess"
-    attempts: int = 0
-    origin_time: float = 0.0
 
 
 class RecoveryManager:
-    """Admits failures, schedules (possibly concurrent) group recoveries.
+    """Admits failures, schedules (possibly concurrent) recoveries.
 
     Parameters
     ----------
@@ -93,13 +111,12 @@ class RecoveryManager:
         Reboot time a crashed node needs before an *in-place* restart can
         read its image (spare placements skip it; 0 keeps the pre-spare
         behaviour of instantly restartable nodes).
-    elastic / workload:
-        With ``elastic=True`` and a partitionable workload attached, a
-        failure whose victims cannot all be replaced from the spare pool is
-        handled by :class:`~repro.core.restart.ElasticRestart`: the job
-        *shrinks* onto the survivors (dead ranks' work units redistributed,
-        their images shipped to the adopters) instead of waiting out an
-        in-place node reboot.
+    elastic:
+        With ``elastic=True`` (needs ``runtime.workload``), a failure whose
+        victims cannot all be replaced from the spare pool runs a *shrink*
+        recovery: the job shrinks onto the survivors (dead ranks' work units
+        redistributed, their images shipped to the adopters) instead of
+        waiting out an in-place node reboot.
     """
 
     def __init__(
@@ -110,24 +127,19 @@ class RecoveryManager:
         barrier_cost_s: float = 0.02,
         reboot_delay_s: float = 0.0,
         elastic: bool = False,
-        workload: Optional[object] = None,
     ) -> None:
         if detection_delay_s < 0:
             raise ValueError("detection_delay_s must be non-negative")
         if reboot_delay_s < 0:
             raise ValueError("reboot_delay_s must be non-negative")
-        if elastic and workload is None:
-            workload = runtime.workload
-        if elastic and workload is None:
-            raise ValueError("elastic mode needs a workload (pass one or set "
-                             "runtime.workload)")
+        if elastic and runtime.workload is None:
+            raise ValueError("elastic mode needs runtime.workload")
         self.runtime = runtime
         self.spare_pool = spare_pool
         self.detection_delay_s = detection_delay_s
         self.barrier_cost_s = barrier_cost_s
         self.reboot_delay_s = reboot_delay_s
         self.elastic = elastic
-        self.workload = workload
         self.active: List[_Active] = []
         self.queue: List[_Pending] = []
         self._drain_waiters: List[Event] = []
@@ -157,9 +169,12 @@ class RecoveryManager:
             # a different prefix, so this never double-counts)
             runtime.telemetry.metrics.counter("recovery.failures.submitted").inc()
         self.node_failed(event.node, disk_lost=event.destroys_disk)
+        retired = retired_ranks(runtime)
+        victims = [rank for rank in victims if rank not in retired]
         for rank in victims:
             runtime.kill_rank(rank, cause=event)
-        self._admit(event, set(victims), attempts=0, origin_time=event.time)
+        if victims:
+            self._admit(_Pending(event, set(victims), origin_time=event.time))
 
     def node_failed(self, node: int, disk_lost: bool = False) -> None:
         """Record a node death (also for nodes hosting no ranks).
@@ -184,38 +199,55 @@ class RecoveryManager:
             if self.runtime.ctx(rank).node_id != node:
                 self.spare_pool.release(node, rank)
 
-    def _admit(self, event: "FailureEvent", victims: Set[int], attempts: int,
-               origin_time: float) -> None:
-        from repro.core.restart import rollback_scope
-
-        scope = rollback_scope(self.runtime, sorted(victims))
+    def _admit(self, pending: _Pending) -> None:
+        scope = rollback_scope(self.runtime, sorted(pending.victims))
         # A failure inside a recovering (or queued) scope supersedes that
         # attempt: abort it and recover the union from the new target.
-        overlapping = [a for a in self.active if a.scope & scope]
-        for act in overlapping:
+        for act in [a for a in self.active if a.pending.scope & scope]:
             act.proc.interrupt("recovery-superseded")
             self._release_unused_spares(act)
             self.active.remove(act)
-            victims |= act.victims
-            attempts += act.attempts + 1
-            origin_time = min(origin_time, act.origin_time)
+            pending.merge(act.pending, superseded=True)
             self.aborted_recoveries += 1
-        queued_overlap = [p for p in self.queue if p.scope & scope]
-        for pend in queued_overlap:
-            self.queue.remove(pend)
-            victims |= pend.victims
-            attempts += pend.attempts
-            origin_time = min(origin_time, pend.origin_time)
-        if overlapping or queued_overlap:
-            scope = rollback_scope(self.runtime, sorted(victims))
-        if (any(self._channel_coupled(a.scope, scope) for a in self.active)
-                or any(self._channel_coupled(p.scope, scope) for p in self.queue)):
-            # Disjoint scopes, shared channels: their sender logs / skip
-            # accounting interlock, so the recoveries must not interleave.
+        for queued in [p for p in self.queue if p.scope & scope]:
+            self.queue.remove(queued)
+            pending.merge(queued, superseded=False)
+        self._plan(pending)
+        if self._blocked(pending, self.queue):
             self.serialized_conflicts += 1
-            self.queue.append(_Pending(event, victims, scope, attempts, origin_time))
+            self.queue.append(pending)
             return
-        self._start(event, victims, scope, attempts, origin_time)
+        self._start(pending)
+
+    def _plan(self, pending: _Pending) -> None:
+        """Drop retired victims, then decide shrink vs rollback and the scope.
+
+        A recovery shrinks (elastic mode) when the spare pool cannot replace
+        every victim on a dead node, or when it supersedes a shrink that
+        already reset the job.
+        """
+        runtime = self.runtime
+        pending.victims -= retired_ranks(runtime)
+        dead = sum(1 for rank in pending.victims
+                   if runtime.cluster.nodes[runtime.ctx(rank).node_id].failed)
+        spares = self.spare_pool.remaining if self.spare_pool is not None else 0
+        pending.shrink = self.elastic and (pending.reset or dead > spares)
+        pending.scope = rollback_scope(runtime, sorted(pending.victims),
+                                       pending.shrink)
+
+    def _blocked(self, pending: _Pending, ahead: List[_Pending]) -> bool:
+        """Whether ``pending`` must queue behind active or ``ahead`` recoveries.
+
+        A shrink resets every rank, so it never runs alongside another
+        recovery.  Disjoint scopes with shared channels must not interleave
+        either: their sender logs / skip accounting interlock.
+        """
+        if pending.shrink and self.active:
+            return True
+        return (any(self._channel_coupled(a.pending.scope, pending.scope)
+                    for a in self.active)
+                or any(self._channel_coupled(p.scope, pending.scope)
+                       for p in ahead))
 
     def _channel_coupled(self, scope_a: Set[int], scope_b: Set[int]) -> bool:
         """Whether any rank of one scope has a channel into the other.
@@ -234,62 +266,43 @@ class RecoveryManager:
         return False
 
     # -- recovery lifecycle ----------------------------------------------------
-    def _start(self, event: "FailureEvent", victims: Set[int],
-               scope: Set[int], attempts: int, origin_time: float) -> None:
-        from repro.core.restart import ElasticRestart, LiveRecovery
-
+    def _start(self, pending: _Pending) -> None:
         runtime = self.runtime
         placements: Dict[int, int] = {}
         dead_nodes: Set[int] = set()
-        for rank in sorted(victims):
+        for rank in sorted(pending.victims):
             ctx = runtime.ctx(rank)
             if not runtime.cluster.nodes[ctx.node_id].failed:
                 continue  # healthy node (rank merged in from a group rollback)
             spare = (self.spare_pool.acquire(ctx.node_id, rank)
-                     if self.spare_pool is not None else None)
+                     if self.spare_pool is not None and not pending.shrink
+                     else None)
             if spare is not None:
                 placements[rank] = spare
             else:
                 dead_nodes.add(ctx.node_id)
-        if self.elastic and self.workload is not None and dead_nodes:
-            # Spares exhausted for at least one victim: shrink the job onto
-            # the survivors instead of waiting out a node reboot.  Spares the
-            # loop above did reserve go straight back to the pool (the shrink
-            # retires every victim on a dead node) and the recovery's scope
-            # widens to the whole communicator — a global reset means any
-            # later failure supersedes this attempt.
-            if self.spare_pool is not None:
-                for rank, node in placements.items():
-                    self.spare_pool.release(node, rank)
+        if pending.shrink:
+            # Spares exhausted: shrink the job onto the survivors instead of
+            # waiting out a node reboot.  Its scope spans every rank not yet
+            # retired — a global reset means any later failure supersedes it.
             self.shrink_restarts += 1
-            scope = set(range(runtime.n_ranks))
-            recovery = ElasticRestart(
-                runtime, sorted(victims), self.workload,
-                detection_delay_s=self.detection_delay_s,
-                barrier_cost_s=self.barrier_cost_s,
-                node=event.node,
-                superseded_attempts=attempts,
-                origin_time=origin_time,
-                cause=event.cause,
-            )
-        else:
-            recovery = LiveRecovery(
-                runtime, sorted(victims),
-                detection_delay_s=self.detection_delay_s,
-                barrier_cost_s=self.barrier_cost_s,
-                node=event.node,
-                placements=placements,
-                dead_nodes=dead_nodes,
-                reboot_delay_s=self.reboot_delay_s,
-                superseded_attempts=attempts,
-                origin_time=origin_time,
-                cause=event.cause,
-                spare_pool=self.spare_pool,
-            )
+        recovery = LiveRecovery(
+            runtime, sorted(pending.victims),
+            detection_delay_s=self.detection_delay_s,
+            barrier_cost_s=self.barrier_cost_s,
+            node=pending.event.node,
+            placements=placements,
+            dead_nodes=dead_nodes,
+            reboot_delay_s=self.reboot_delay_s,
+            superseded_attempts=pending.attempts,
+            origin_time=pending.origin_time,
+            cause=pending.event.cause,
+            spare_pool=self.spare_pool,
+            shrink=pending.shrink,
+        )
         proc = runtime.sim.process(recovery.run(), name="live-recovery")
         runtime._recovery_inflight.append(proc)
-        active = _Active(event, victims, scope, recovery, proc, attempts,
-                         origin_time)
+        active = _Active(pending, recovery, proc)
         self.active.append(active)
         self.max_concurrent_recoveries = max(
             self.max_concurrent_recoveries, len(self.active))
@@ -299,16 +312,17 @@ class RecoveryManager:
         proc.callbacks.append(_OnDone(self, active))
 
     def _on_done(self, active: _Active) -> None:
-        if active.proc in self.runtime._recovery_inflight:
-            self.runtime._recovery_inflight.remove(active.proc)
+        proc = active.proc
+        if proc in self.runtime._recovery_inflight:
+            self.runtime._recovery_inflight.remove(proc)
         if active in self.active:
             self.active.remove(active)
-        report = active.proc._value if active.proc._triggered else None
-        if report is not None and not getattr(report, "unsurvivable", False):
+        report = proc._value if proc._triggered and proc._ok else None
+        if report is not None and not report.unsurvivable:
             # Spare-pool refill: every dead node whose ranks migrated away
             # now sits empty — it reboots in the background and rejoins the
             # pool, so long failure horizons don't exhaust spares permanently.
-            for _rank, old_node, _new_node in getattr(report, "placements", ()):
+            for _rank, old_node, _new_node in report.placements:
                 self._schedule_refill(old_node)
         self._drain_queue()
         if not self.active and not self.queue and self._drain_waiters:
@@ -345,14 +359,13 @@ class RecoveryManager:
             return
         remaining: List[_Pending] = []
         for pending in self.queue:
-            blocked = (
-                any(self._channel_coupled(a.scope, pending.scope) for a in self.active)
-                or any(self._channel_coupled(p.scope, pending.scope) for p in remaining))
-            if blocked:
+            self._plan(pending)
+            if not pending.victims:
+                continue  # a shrink meanwhile retired every victim
+            if self._blocked(pending, remaining):
                 remaining.append(pending)
             else:
-                self._start(pending.event, pending.victims, pending.scope,
-                            pending.attempts, pending.origin_time)
+                self._start(pending)
         self.queue = remaining
 
     # -- introspection ---------------------------------------------------------

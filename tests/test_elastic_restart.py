@@ -24,20 +24,30 @@ from repro.core.coordinator import CheckpointCoordinator
 from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.runner import build_family, build_workload, run_scenario
 from repro.mpi.runtime import MpiRuntime
+from repro.recovery import SparePool
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.workloads.domain import Partition
 
 #: long enough that several checkpoint waves land before the kill at 1.7 s,
 #: images small enough (4 MB) that a wave completes within the 0.4 s period
 SHRINK_OPTS = {"iterations": 60, "memory_bytes": 4 * 1024 * 1024}
 
 
-def _run_shrink(workload="halo2d", method="GP4", n=8, storage="remote",
-                kill_at=1.7, victim=1):
-    """Kill ``victim``'s node with zero spares; return (app, runtime)."""
+def _run_elastic(kills, workload="halo2d", method="GP4", n=8, storage="remote",
+                 n_nodes=None, n_spares=0, reboot_delay_s=0.0, owner=None,
+                 limit_s=1e6):
+    """Elastic run with node failures at ``kills`` = ``[(time, rank), ...]``.
+
+    ``owner`` (unit → rank) starts the workload from a non-identity
+    partition.  Returns (app, runtime).
+    """
     opts = dict(SHRINK_OPTS) if workload in ("halo2d", "ring") else {}
     wl = build_workload(workload, n, opts)
-    spec = dataclasses.replace(GIDEON_300, n_nodes=max(GIDEON_300.n_nodes, n),
+    if owner is not None:
+        wl.set_partition(Partition(tuple(owner), n))
+    spec = dataclasses.replace(GIDEON_300,
+                               n_nodes=n_nodes or max(GIDEON_300.n_nodes, n),
                                checkpoint_storage=storage)
     family = build_family(method, n, workload, spec, {}, None, None)
     sim = Simulator()
@@ -47,11 +57,20 @@ def _run_shrink(workload="halo2d", method="GP4", n=8, storage="remote",
     runtime.set_memory(wl.memory_map())
     runtime.workload = wl
     CheckpointCoordinator(runtime, family, periodic(0.4)).start()
-    model = TraceFailureModel([FailureEvent(kill_at, runtime.ctx(victim).node_id)])
-    FailureInjector(runtime, model, elastic=True).start()
+    model = TraceFailureModel([FailureEvent(t, runtime.ctx(rank).node_id)
+                               for t, rank in kills])
+    pool = SparePool(cluster, n_spares) if n_spares else None
+    FailureInjector(runtime, model, spare_pool=pool,
+                    reboot_delay_s=reboot_delay_s, elastic=True).start()
     runtime.launch(wl.program_factory())
-    app = runtime.run_to_completion(limit_s=1e6)
+    app = runtime.run_to_completion(limit_s=limit_s)
     return app, runtime
+
+
+def _run_shrink(workload="halo2d", method="GP4", n=8, storage="remote",
+                kill_at=1.7, victim=1):
+    """Kill ``victim``'s node with zero spares; return (app, runtime)."""
+    return _run_elastic([(kill_at, victim)], workload, method, n, storage)
 
 
 def _assert_exactly_once(app):
@@ -100,6 +119,74 @@ def test_shrink_completes_across_workloads(workload):
     app, runtime = _run_shrink(workload=workload)
     assert runtime.aborted is None
     assert runtime.recovery_manager.shrink_restarts >= 1
+    _assert_exactly_once(app)
+
+
+# ------------------------------------------------ orchestration regressions
+#: 16 ranks on a 4×4 halo grid under GP4: each grid row is a checkpoint
+#: group, adjacent rows share halo channels, rows 0 and 2 share none.  One
+#: spare node; a sim-time limit turns a wedged recovery into a prompt error.
+GRID = dict(n=16, n_nodes=17, n_spares=1, reboot_delay_s=5.0, limit_s=1e3)
+
+
+def _retired(runtime):
+    """Ranks owning no work unit, read straight off the partition."""
+    part = runtime.workload.partition
+    return {r for r in range(runtime.n_ranks) if not part.units_of(r)}
+
+
+def test_shrink_waits_for_the_active_live_recovery():
+    """A shrink resets every rank, so it must not overlap another recovery.
+
+    Rank 0's live recovery takes the only spare; rank 8 (row 2, no channel
+    into row 0) dies during it and needs a shrink.  That shrink must wait
+    for the live recovery instead of resetting and relaunching row 0
+    alongside it.
+    """
+    app, runtime = _run_elastic([(20.0, 0), (20.1, 8)], **GRID)
+    live, shrink = runtime.recovery_reports
+    assert not live.shrink and shrink.shrink
+    assert shrink.detected_at >= live.completed_at
+    assert app.recovery_stats["max_concurrent_recoveries"] == 1
+    assert all(ctx.finished for ctx in app.contexts)
+    _assert_exactly_once(app)
+
+
+def test_queued_failure_retired_by_a_shrink_is_not_recovered():
+    """A failure whose victim a shrink retired needs no recovery of its own.
+
+    Ranks 4 and 8 die while rank 0's live recovery holds the only spare, so
+    both failures queue; the shrink covering them retires both.  With the
+    dead spare-donor node refilled meanwhile, no later live recovery may
+    migrate, roll back or relaunch a retired rank.
+    """
+    app, runtime = _run_elastic([(20.0, 0), (20.05, 4), (20.1, 8)],
+                                **dict(GRID, reboot_delay_s=1.0))
+    retired = _retired(runtime)
+    assert retired == {4, 8}
+    for report in runtime.recovery_reports:
+        if not report.shrink:
+            assert not retired & set(report.rollback_ranks)
+    assert all(ctx.finished for ctx in app.contexts)
+    _assert_exactly_once(app)
+
+
+def test_shrink_keeps_every_rank_without_a_unit_retired():
+    """A rank owning no unit stays retired through a shrink.
+
+    Rank 0 owns units 0–2, so ranks 1 and 2 start without work.  When rank
+    3 dies with no spare, the shrink must neither roll them back (leaving
+    them waiting for a relaunch that never comes) nor hand them rank 3's
+    unit.
+    """
+    owner = list(range(16))
+    owner[1] = owner[2] = 0
+    app, runtime = _run_elastic([(20.0, 3)], n=16, n_nodes=16, owner=owner,
+                                limit_s=1e3)
+    (report,) = runtime.recovery_reports
+    assert report.shrink and not {1, 2} & set(report.rollback_ranks)
+    assert _retired(runtime) == {1, 2, 3}
+    assert runtime.ctx(1).finished and runtime.ctx(2).finished
     _assert_exactly_once(app)
 
 

@@ -13,11 +13,13 @@ Covers:
 * scenario integration — a traced failure + recovery run leaves no open
   spans, closes killed ranks' checkpoint spans as aborted, and exports a
   recovery span tree that *matches the* :class:`RecoveryReport` (same
-  rollback ranks, same measured failure→resumption window);
+  rollback ranks, same measured failure→resumption window) for a group
+  rollback and for an elastic shrink alike;
 * bit-identity — span tracing enabled reproduces the committed golden
   parity metrics under both ``REPRO_SIM_FASTPATH`` modes.
 """
 
+import dataclasses
 import json
 import os
 
@@ -25,6 +27,7 @@ import pytest
 
 from repro.ckpt.scheduler import periodic
 from repro.cluster.network import FAST_PATH_ENV
+from repro.cluster.topology import GIDEON_300
 from repro.experiments import runner
 from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.parity import parity_metrics, quick_parity_configs, scenario_label
@@ -335,10 +338,26 @@ FAILURE_CONFIG = ScenarioConfig(
 )
 
 
+#: victim 1 dies with no spare: the job shrinks onto the other seven ranks
+SHRINK_CONFIG = ScenarioConfig(
+    "halo2d", 8, "GP4", periodic(0.4), do_restart=False, seed=7,
+    cluster=dataclasses.replace(GIDEON_300, checkpoint_storage="remote"),
+    workload_options={"iterations": 60, "memory_bytes": 4 * 1024 * 1024},
+    failure=FailureSpec(at_s=1.7, victim_rank=1, elastic=True),
+)
+
+
 @pytest.fixture(scope="module")
 def traced_failure_run():
     telemetry = Telemetry()
     result = run_scenario(FAILURE_CONFIG, telemetry=telemetry)
+    return result, telemetry
+
+
+@pytest.fixture(scope="module")
+def traced_shrink_run():
+    telemetry = Telemetry()
+    result = run_scenario(SHRINK_CONFIG, telemetry=telemetry)
     return result, telemetry
 
 
@@ -356,35 +375,43 @@ class TestScenarioTelemetry:
         for span in aborted:
             assert "abort_cause" in span.attrs
 
-    def test_recovery_span_tree_matches_report(self, traced_failure_run):
-        result, telemetry = traced_failure_run
-        report = result.recovery_reports[0]
-        spans = [s for s in telemetry.tracer.spans if s.track == "recovery"]
-        roots = [s for s in spans if s.name == "recovery"]
-        assert len(roots) == 1
-        root = roots[0]
-        # same rollback ranks, same measured failure -> resumption window
-        assert root.attrs["rollback_ranks"] == list(report.rollback_ranks)
-        assert root.start == report.failure_time
-        assert root.end == report.completed_at
-        assert not root.aborted
+    def test_recovery_span_tree_matches_report(self, traced_failure_run,
+                                               traced_shrink_run):
+        """One emitter serves both plans: group rollback and elastic shrink."""
+        for result, telemetry in (traced_failure_run, traced_shrink_run):
+            (report,) = result.recovery_reports
+            spans = [s for s in telemetry.tracer.spans if s.track == "recovery"]
+            roots = [s for s in spans if s.name == "recovery"]
+            assert len(roots) == 1
+            root = roots[0]
+            # same plan, same measured failure -> resumption window
+            assert root.attrs["rollback_ranks"] == list(report.rollback_ranks)
+            assert root.attrs["shrink"] == report.shrink
+            assert root.start == report.failure_time
+            assert root.end == report.completed_at
+            assert not root.aborted
 
-        detection = next(s for s in spans if s.name == "detection")
-        assert detection.parent_id == root.span_id
-        assert (detection.start, detection.end) == (report.failure_time,
-                                                    report.detected_at)
+            detection = next(s for s in spans if s.name == "detection")
+            assert detection.parent_id == root.span_id
+            assert (detection.start, detection.end) == (report.failure_time,
+                                                        report.detected_at)
 
-        rank_spans = [s for s in spans if s.name == "rank_restart"]
-        assert {s.attrs["rank"] for s in rank_spans} == {rr.rank for rr in report.ranks}
-        for span in rank_spans:
-            assert span.parent_id == root.span_id
-            assert root.start <= span.start <= span.end <= root.end
-            stages = [s for s in spans if s.parent_id == span.span_id]
-            assert {s.name for s in stages} <= {
-                "reboot", "image_restore", "rebuild", "exchange", "replay"}
+            # one rank_restart per restored rank: a shrink retires its victim
+            restored = set(report.rollback_ranks)
+            if report.shrink:
+                restored -= set(report.victims)
+            rank_spans = [s for s in spans if s.name == "rank_restart"]
+            assert sorted(s.attrs["rank"] for s in rank_spans) == sorted(restored)
+            for span in rank_spans:
+                assert span.parent_id == root.span_id
+                assert root.start <= span.start <= span.end <= root.end
+                stages = [s for s in spans if s.parent_id == span.span_id]
+                assert {s.name for s in stages} <= {
+                    "reboot", "image", "rebuild", "exchange", "replay"}
 
-        barrier = next(s for s in spans if s.name == "barrier")
-        assert barrier.end == report.completed_at
+            barrier = next(s for s in spans if s.name == "barrier")
+            assert barrier.parent_id == root.span_id
+            assert barrier.end == report.completed_at
 
     def test_phase_times_cover_checkpoint_and_recovery(self, traced_failure_run):
         result, _ = traced_failure_run

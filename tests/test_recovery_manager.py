@@ -34,6 +34,7 @@ from repro.core.coordinator import CheckpointCoordinator
 from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.runner import build_family, build_workload, run_scenario
 from repro.mpi.runtime import MpiRuntime
+from repro.obs import Telemetry
 from repro.recovery import RecoveryManager, SparePool
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -41,7 +42,7 @@ from repro.sim.rng import RandomStreams
 
 def _launch(method="GP4", n=16, workload="halo2d", interval=0.3, seed=7,
             model=None, n_spares=0, reboot_delay_s=0.0, concurrent=True,
-            spec=None):
+            spec=None, telemetry=None):
     wl = build_workload(workload, n, {})
     if spec is None:
         spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, n))
@@ -51,6 +52,8 @@ def _launch(method="GP4", n=16, workload="halo2d", interval=0.3, seed=7,
     runtime = MpiRuntime(sim, cluster, n, protocol_family=family,
                          rng=RandomStreams(seed))
     runtime.set_memory(wl.memory_map())
+    if telemetry is not None:
+        runtime.attach_telemetry(telemetry)
     CheckpointCoordinator(runtime, family, periodic(interval)).start()
     injector = None
     if model is not None:
@@ -214,17 +217,23 @@ class TestConcurrentRecovery:
 
 
 # ------------------------------------------------------ failure during recovery
+def _merged_run(telemetry=None):
+    """Rank 1 dies 0.3 s into the recovery of rank 0, its group peer."""
+    runtime, _ = _launch()
+    base = runtime.run_to_completion(limit_s=1e5)
+    kill_at = base.makespan * 0.6
+    events = [FailureEvent(kill_at, runtime.ctx(0).node_id),
+              FailureEvent(kill_at + 0.3, runtime.ctx(1).node_id)]
+    runtime2, injector = _launch(model=TraceFailureModel(events),
+                                 telemetry=telemetry)
+    failed = runtime2.run_to_completion(limit_s=1e6)
+    return base, failed, injector
+
+
 class TestFailureDuringRecovery:
     @pytest.fixture(scope="class")
     def merged(self):
-        runtime, _ = _launch()
-        base = runtime.run_to_completion(limit_s=1e5)
-        kill_at = base.makespan * 0.6
-        events = [FailureEvent(kill_at, runtime.ctx(0).node_id),
-                  FailureEvent(kill_at + 0.3, runtime.ctx(1).node_id)]
-        runtime2, injector = _launch(model=TraceFailureModel(events))
-        failed = runtime2.run_to_completion(limit_s=1e6)
-        return base, failed, injector
+        return _merged_run()
 
     def test_converges_with_one_merged_report(self, merged):
         _base, failed, injector = merged
@@ -275,6 +284,18 @@ class TestFailureDuringRecovery:
         t1 = injector.injected_events[0].time
         for rec in report.ranks:
             assert rec.lost_work_s <= t1 + 1e-9 or rec.rank != 0
+
+
+    def test_superseded_attempt_span_ends_at_the_abort(self):
+        """The aborted attempt's recovery span closes when it is superseded."""
+        telemetry = Telemetry()
+        _base, _failed, injector = _merged_run(telemetry)
+        spans = telemetry.tracer.spans
+        aborted, converged = [s for s in spans if s.name == "recovery"]
+        assert aborted.aborted and not converged.aborted
+        assert aborted.end == pytest.approx(injector.injected_events[1].time)
+        for span in spans:
+            assert span.end >= span.start, span
 
 
 # ---------------------------------------------------------------- spare placement
