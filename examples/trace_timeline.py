@@ -11,8 +11,9 @@ with span tracing enabled, then:
   (https://ui.perfetto.dev) or ``chrome://tracing`` to see checkpoint waves,
   per-rank dumps, L2 partner copies, and the failure's recovery span tree
   (detection → per-rank restart stages → barrier) on simulated time,
-* optionally renders the self-contained HTML timeline next to it
-  (``tools/timeline.py`` does the same from the JSON after the fact).
+* optionally renders the self-contained HTML timeline next to it with
+  :func:`repro.obs.report.render_timeline_html` (``tools/timeline.py`` does
+  the same from the JSON after the fact).
 
 Tracing is passive — the tracer only reads the simulated clock — so this run
 produces bit-identical metrics to the same scenario without telemetry.
@@ -26,13 +27,13 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.analysis.reporting import format_table, phase_time_table
 from repro.ckpt.scheduler import periodic
 from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.runner import run_scenario
-from repro.obs import Telemetry, write_chrome_trace
+from repro.obs import Telemetry, load_spans, write_chrome_trace
+from repro.obs.report import render_timeline_html
 
 
 def main(argv=None) -> int:
@@ -70,11 +71,9 @@ def main(argv=None) -> int:
           f"(open in https://ui.perfetto.dev or chrome://tracing)")
 
     if args.html:
-        from tools.timeline import load_spans, render_html
-
         events, tracks = load_spans(args.out)
         with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_html(events, tracks, title="failure + recovery timeline"))
+            fh.write(render_timeline_html(events, tracks, title="failure + recovery timeline"))
         print(f"wrote HTML timeline to {args.html}")
     return 0
 

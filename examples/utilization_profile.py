@@ -12,8 +12,8 @@ and the passive state sampler enabled, then:
   ``write_series_csv``),
 * renders the self-contained HTML dashboard — rank-state heatmap,
   utilization stacked-area, NIC utilization and sender-log line charts —
-  via ``tools/dashboard.py`` (which can also do this after the fact from
-  the JSONL).
+  with :func:`repro.obs.report.render_dashboard_html` (``tools/dashboard.py``
+  does the same from the JSONL after the fact).
 
 Sampling is passive — the sampler reads rank state at event boundaries the
 simulation was already processing, scheduling nothing — so this run produces
@@ -29,7 +29,6 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.analysis.reporting import format_table
 from repro.ckpt.scheduler import periodic
@@ -37,12 +36,14 @@ from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.obs import (
     Telemetry,
+    load_series,
     reconcile_with_registry,
     utilization_breakdown,
     utilization_table,
     write_series_csv,
     write_series_jsonl,
 )
+from repro.obs.report import render_dashboard_html
 
 
 def main(argv=None) -> int:
@@ -87,8 +88,6 @@ def main(argv=None) -> int:
         print(f"wrote series CSV to {args.csv}")
 
     if args.html:
-        from tools.dashboard import load_series, render_dashboard_html
-
         data = load_series(args.out)
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(render_dashboard_html(

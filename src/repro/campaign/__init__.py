@@ -26,6 +26,7 @@ rank-count × seed); this subsystem turns those sweeps into *campaigns*:
 * :mod:`repro.campaign.dashboard` — renders a progress snapshot as
   terminal tables or a self-contained HTML status page
   (``python -m repro.campaign.dashboard --db sweep.sqlite --html out.html``),
+  and the store's benchmark history as a trend table and charts,
 * :mod:`repro.campaign.cache` — a generation-stamped response cache: every
   aggregate is memoised against :meth:`CampaignStore.generation`, so N
   concurrent readers of a quiet store cost one aggregation pass,

@@ -1,7 +1,8 @@
-"""Campaign observatory: render store progress as text or HTML.
+"""Campaign observatory: render store progress and benchmark history.
 
 The :mod:`repro.campaign.progress` API reads a :class:`CampaignStore` into a
-:class:`CampaignProgress` snapshot; this module renders that snapshot —
+:class:`CampaignProgress` snapshot; this module renders that snapshot and
+the store's ``benchmarks`` side table —
 
 * :func:`render_progress_text` — the ``progress_tables`` stack through
   :func:`repro.analysis.reporting.format_table`, for terminals and the
@@ -9,8 +10,12 @@ The :mod:`repro.campaign.progress` API reads a :class:`CampaignStore` into a
 * :func:`render_progress_html` — a self-contained single-file HTML page
   (no external assets): a hero done-fraction, per-status stat tiles with
   icon + label (status is never colour alone), a stacked status meter,
-  and lease-health / failure tables.  Light and dark schemes via
-  ``prefers-color-scheme``.
+  and the same ``progress_tables``;
+* :func:`trend_table` / :func:`render_trend_html` — the events/sec history
+  of the store's :meth:`CampaignStore.record_benchmark` rows per scenario,
+  with the delta against the previous run of the same scenario (a
+  regression is a negative delta), as a table and as one line chart per
+  scenario.  ``tools/bench_trend.py`` is the command line.
 
 Runnable directly against a store::
 
@@ -22,9 +27,16 @@ from __future__ import annotations
 
 import argparse
 import html
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import (
+    Table,
+    format_table,
+    line_chart_svg,
+    page_html,
+    stat_tiles,
+    table_html,
+)
 from repro.campaign.progress import (
     CampaignProgress,
     campaign_progress,
@@ -41,67 +53,13 @@ _STATUS_STYLE = {
     "pending": ("#898781", "○"),   # muted, open circle
 }
 
-_CSS = """
-:root {
-  color-scheme: light;
-  --surface-1: #fcfcfb;
-  --page: #f9f9f7;
-  --text-primary: #0b0b0b;
-  --text-secondary: #52514e;
-  --text-muted: #898781;
-  --grid: #e1e0d9;
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    color-scheme: dark;
-    --surface-1: #1a1a19;
-    --page: #0d0d0d;
-    --text-primary: #ffffff;
-    --text-secondary: #c3c2b7;
-    --text-muted: #898781;
-    --grid: #2c2c2a;
-  }
-}
-body { font: 13px/1.5 system-ui, -apple-system, "Segoe UI", sans-serif;
-       margin: 1.5em auto; max-width: 900px; padding: 0 1em;
-       background: var(--page); color: var(--text-primary); }
-section { margin: 1.5em 0; padding: 1em; background: var(--surface-1);
-          border: 1px solid var(--grid); border-radius: 6px; }
-h2 { margin: 0 0 0.3em 0; }
-.sub { color: var(--text-secondary); }
-.hero { font-size: 48px; font-weight: 600; }
-.tiles { display: flex; flex-wrap: wrap; gap: 1em; margin-top: 1em; }
-.tile { border: 1px solid var(--grid); border-radius: 6px;
-        padding: 0.6em 1.1em; min-width: 7.5em; }
-.tile .label { color: var(--text-secondary); }
-.tile .value { font-size: 24px; font-weight: 600; }
-.meter { display: flex; height: 14px; border-radius: 4px; overflow: hidden;
-         gap: 2px; background: var(--surface-1); margin-top: 1em; }
-.meter div { height: 100%; }
-table { border-collapse: collapse; margin-top: 0.5em; width: 100%;
-        font-variant-numeric: tabular-nums; }
-th, td { padding: 3px 10px; text-align: right;
-         border-bottom: 1px solid var(--grid); }
-th { color: var(--text-muted); font-weight: 600; }
-td:first-child, th:first-child { text-align: left; }
-.statusdot { display: inline-block; width: 10px; height: 10px;
-             border-radius: 50%; margin-right: 0.35em; }
-"""
+#: payload key holding a benchmark row's headline rate
+RATE_KEY = "events_per_s"
 
 
 def render_progress_text(progress: CampaignProgress) -> str:
     """All ``progress_tables`` formatted for a terminal."""
     return "\n\n".join(format_table(t) for t in progress_tables(progress))
-
-
-def _fmt_duration(seconds: Optional[float]) -> str:
-    if seconds is None:
-        return "-"
-    if seconds >= 3600:
-        return f"{seconds / 3600:.1f}h"
-    if seconds >= 60:
-        return f"{seconds / 60:.1f}min"
-    return f"{seconds:.0f}s"
 
 
 def render_progress_html(progress: CampaignProgress,
@@ -119,68 +77,18 @@ def render_progress_html(progress: CampaignProgress,
     """
     counts = progress.counts
     total = progress.total
+    tiles = stat_tiles((f"{icon} {status}", str(counts.get(status, 0)), colour)
+                       for status, (colour, icon) in _STATUS_STYLE.items())
 
-    tiles = []
-    for status in ("done", "running", "failed", "pending"):
-        colour, icon = _STATUS_STYLE[status]
-        tiles.append(
-            f'<div class="tile"><div class="label">'
-            f'<i class="statusdot" style="background:{colour}"></i>'
-            f"{icon} {status}</div>"
-            f'<div class="value">{counts.get(status, 0)}</div></div>')
-
-    # stacked status meter: one segment per non-empty status, 2px surface gaps
+    # stacked status meter: one segment per non-empty status, 2px gaps
     segments = []
-    if total:
-        for status in ("done", "running", "failed", "pending"):
-            n = counts.get(status, 0)
-            if not n:
-                continue
-            colour, icon = _STATUS_STYLE[status]
+    for status, (colour, icon) in _STATUS_STYLE.items():
+        n = counts.get(status, 0)
+        if n:
             tip = html.escape(f"{icon} {status}: {n}/{total}", quote=True)
             segments.append(f'<div style="flex:{n};background:{colour}" '
                             f'title="{tip}"></div>')
     meter = f'<div class="meter">{"".join(segments)}</div>' if segments else ""
-
-    throughput = progress.throughput_per_s
-    if progress.is_empty:
-        rates_rows = [("State", "no rows yet — the store holds no experiments")]
-    else:
-        rates_rows = [
-            ("Done", f"{counts.get('done', 0)}/{total}"),
-            ("Throughput", f"{throughput * 60:.2f} rows/min" if throughput else "-"),
-            ("Mean row duration", _fmt_duration(progress.mean_duration_s)),
-            ("ETA", _fmt_duration(progress.eta_s)),
-        ]
-    rates = "".join(f"<tr><td>{html.escape(k)}</td><td>{html.escape(v)}</td></tr>"
-                    for k, v in rates_rows)
-
-    lease_section = ""
-    if progress.leases:
-        rows = []
-        for key, worker, left in progress.leases:
-            colour, icon = (_STATUS_STYLE["failed"] if left <= 0
-                            else _STATUS_STYLE["running"])
-            state = f"{icon} {'expired' if left <= 0 else 'held'}"
-            rows.append(
-                f"<tr><td>{html.escape(key[:16])}</td>"
-                f"<td>{html.escape(worker or '-')}</td>"
-                f'<td><i class="statusdot" style="background:{colour}"></i>'
-                f"{state}</td><td>{left:.0f}s</td></tr>")
-        lease_section = (
-            "<section><h2>Lease health</h2><table>"
-            "<tr><th>key</th><th>worker</th><th>state</th><th>left</th></tr>"
-            f"{''.join(rows)}</table></section>")
-
-    failure_section = ""
-    if progress.failures:
-        rows = "".join(
-            f"<tr><td>{html.escape(key[:16])}</td>"
-            f"<td style='text-align:left'>{html.escape(err)}</td></tr>"
-            for key, err in sorted(progress.failures.items()))
-        failure_section = (
-            "<section><h2>Failures</h2><table>"
-            f"<tr><th>key</th><th>error</th></tr>{rows}</table></section>")
 
     if progress.is_empty:
         hero = ('<div class="hero">no rows yet'
@@ -209,23 +117,70 @@ def render_progress_html(progress: CampaignProgress,
 }})();
 </script>"""
 
-    return f"""<!doctype html>
-<html><head><meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{html.escape(title)}</title>
-<style>{_CSS}</style></head><body>
-<section>
-<h2>{html.escape(title)}</h2>
+    tables = "".join(f"<section>{table_html(t)}</section>"
+                     for t in progress_tables(progress))
+    return page_html(title, f"""<section>
 <p class="sub">{total} experiments · snapshot at t={progress.observed_at:.0f}</p>
 {hero}
 {meter}
-<div class="tiles">{''.join(tiles)}</div>
+{tiles}
 </section>
-<section><h2>Rates</h2><table>{rates}</table></section>
-{lease_section}
-{failure_section}
-{poll_script}</body></html>
-"""
+{tables}
+{poll_script}""")
+
+
+def _runs_by_scenario(rows: Iterable[Dict[str, object]]
+                      ) -> Dict[str, List[Tuple[str, str, object, float]]]:
+    """Per scenario, oldest first: (recorded at, sim version, payload v, rate)."""
+    groups: Dict[str, List[Tuple[str, str, object, float]]] = {}
+    for row in rows:
+        payload = row.get("payload") or {}
+        if RATE_KEY in payload:
+            groups.setdefault(str(payload.get("scenario", "?")), []).append((
+                str(payload.get("recorded_at_utc", row.get("created_at", "?"))),
+                str(payload.get("sim_version", "?")),
+                payload.get("payload_version", "?"), float(payload[RATE_KEY])))
+    return dict(sorted(groups.items()))
+
+
+def trend_table(rows: Iterable[Dict[str, object]], name: str) -> Table:
+    """Per-scenario events/sec trajectory with deltas against the previous run."""
+    table = Table(
+        title=f"Benchmark trend: {name} (newest last; Δ vs previous run)",
+        columns=["scenario", "recorded (UTC)", "sim version", "payload v",
+                 "events/s", "Δ"],
+    )
+    for scenario, runs in _runs_by_scenario(rows).items():
+        previous: Optional[float] = None
+        for stamp, sim_version, payload_version, rate in runs:
+            delta = "—" if not previous else f"{(rate - previous) / previous:+.1%}"
+            table.add_row(scenario, stamp, sim_version, payload_version,
+                          f"{rate:,.0f}", delta)
+            previous = rate
+    return table
+
+
+def render_trend_html(rows: Sequence[Dict[str, object]], name: str,
+                      title: Optional[str] = None) -> str:
+    """Single-file HTML report: one line chart per scenario, then the table."""
+    charts: List[str] = []
+    for scenario, runs in _runs_by_scenario(rows).items():
+        points = [(float(index), rate,
+                   f"run {index + 1} · {stamp}\n{sim_version}: {rate:,.0f} events/s")
+                  for index, (stamp, sim_version, _, rate) in enumerate(runs)]
+        charts.append(line_chart_svg(
+            points, scenario,
+            f"{len(runs)} recorded run{'s' if len(runs) != 1 else ''}, events/sec",
+            fmt=lambda v: f"{v:,.0f}",
+            x_fmt=lambda x: f"run {int(round(x)) + 1}"))
+    if not charts:
+        charts.append(f"<p>no {html.escape(name)} benchmark rows with an "
+                      f"<code>{RATE_KEY}</code> rate recorded yet</p>")
+    return page_html(title or f"benchmark trend: {name}", f"""<p class="sub">events/sec per recorded run, grouped by scenario; rows are
+stamped with the simulator fingerprint so rate shifts line up with code
+changes.</p>
+{''.join(charts)}
+{table_html(trend_table(rows, name))}""")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -169,9 +169,10 @@ def progress_tables(progress: CampaignProgress) -> List[Table]:
     tables = [status, rates]
     if progress.leases:
         leases = Table("Lease health (running rows)",
-                       ["key", "worker", "lease s left"])
+                       ["key", "worker", "state", "lease s left"])
         for key, worker, left in progress.leases:
-            leases.add_row(key[:12], worker, f"{left:.0f}")
+            leases.add_row(key[:12], worker, "expired" if left <= 0 else "held",
+                           f"{left:.0f}")
         tables.append(leases)
     if progress.failures:
         failed = Table("Failures", ["key", "error"])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.catalog import StoredResult, evaluate
 from repro.ckpt.base import ProtocolConfig, ProtocolFamily
@@ -327,22 +327,6 @@ def run_scenario(
                             telemetry=telemetry)
     harvest_scenario(result, telemetry)
     return result
-
-
-def average_over_seeds(
-    config: ScenarioConfig,
-    seeds: List[int],
-    metric: Callable[[ScenarioResult], float],
-    protocol_config: Optional[ProtocolConfig] = None,
-) -> float:
-    """Average one scalar metric over several seeds of the same scenario."""
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    values = []
-    for seed in seeds:
-        result = run_scenario(config.with_seed(seed), protocol_config)
-        values.append(metric(result))
-    return sum(values) / len(values)
 
 
 def clear_caches() -> None:

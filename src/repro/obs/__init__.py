@@ -12,7 +12,7 @@ Public API
   per-subsystem counters.
 * Exporters — :func:`chrome_trace` / :func:`write_chrome_trace` (open in
   chrome://tracing or Perfetto), :func:`spans_to_jsonl`,
-  :func:`flat_metrics`.
+  :func:`flat_metrics`; :func:`load_spans` reads a trace back.
 * Harvest — :func:`harvest_scenario` / :func:`phase_times` turn a finished
   run's legacy accounting into registry series and payload phase times.
 * Sampling — :class:`StateSampler` buckets passive observations into fixed
@@ -20,7 +20,10 @@ Public API
   sender-log bytes, storage inflight) without scheduling events;
   :func:`utilization_breakdown` rolls the series into per-rank seconds that
   reconcile with the registry's phase times; :func:`write_series_jsonl` /
-  :func:`write_series_csv` export the series for ``tools/dashboard.py``.
+  :func:`write_series_csv` export the series, :func:`load_series` reads
+  the JSONL back.
+* Reports — :mod:`repro.obs.report` renders a series file as the run
+  dashboard and a trace as the span timeline.
 
 Telemetry is off by default and costs nothing on the simulator hot loops;
 set ``REPRO_TELEMETRY=1`` (or pass ``telemetry=`` to ``run_scenario``) to
@@ -30,6 +33,8 @@ record spans.  See the README "Observability" section.
 from .export import (
     chrome_trace,
     flat_metrics,
+    load_series,
+    load_spans,
     spans_to_jsonl,
     write_chrome_trace,
     write_series_csv,
@@ -94,6 +99,8 @@ __all__ = [
     "write_chrome_trace",
     "spans_to_jsonl",
     "flat_metrics",
+    "load_series",
+    "load_spans",
     "write_series_jsonl",
     "write_series_csv",
     "harvest_app",

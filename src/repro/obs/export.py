@@ -5,13 +5,13 @@
 directly.  Each span track becomes a thread (tid) under one process, spans
 become complete (``"X"``) events with microsecond timestamps, and span
 attributes (plus the ``aborted`` flag) land in ``args`` so they show up in
-the event-details pane.
+the event-details pane.  Each format's reader sits next to its writer.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .spans import Span, SpanTracer
@@ -93,6 +93,25 @@ def write_chrome_trace(
         json.dump(chrome_trace(tracer, metrics, process_name=process_name), fh, indent=1)
 
 
+def load_spans(path: str) -> Tuple[List[Dict[str, Any]], Dict[int, str]]:
+    """Read a trace-event JSON file into (complete events, tid → track name).
+
+    Accepts any file in the Trace Event Format, object or bare-array form.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    events = doc.get("traceEvents", []) if isinstance(doc, dict) else doc
+    tracks: Dict[int, str] = {}
+    spans: List[Dict[str, Any]] = []
+    for ev in events:
+        ph = ev.get("ph")
+        if ph == "M" and ev.get("name") == "thread_name":
+            tracks[int(ev.get("tid", 0))] = str(ev.get("args", {}).get("name", ""))
+        elif ph == "X":
+            spans.append(ev)
+    return spans, tracks
+
+
 def spans_to_jsonl(tracer: SpanTracer) -> str:
     """One JSON object per line per span, in (start, id) order."""
     lines = []
@@ -126,8 +145,8 @@ def write_series_jsonl(path: str, sampler: Any) -> None:
 
     Line 1 is a ``meta`` record (bin width, state names, summary scalars);
     then one ``bin`` record per bin (rank-state codes plus the aggregate
-    gauges) and one ``phase`` record per exact phase interval.  This is the
-    input format of ``tools/dashboard.py``.
+    gauges) and one ``phase`` record per exact phase interval.
+    :func:`load_series` reads it back.
     """
     from .sampler import RANK_STATES
 
@@ -161,6 +180,22 @@ def write_series_jsonl(path: str, sampler: Any) -> None:
                 "start": start,
                 "end": end,
             }, sort_keys=True) + "\n")
+
+
+def load_series(path: str) -> Dict[str, Any]:
+    """Read a :func:`write_series_jsonl` file into ``{meta, bins, phases}``."""
+    data: Dict[str, Any] = {"meta": {}, "bins": [], "phases": []}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            kind = record.get("type")
+            if kind == "meta":
+                data["meta"] = record
+            elif kind in ("bin", "phase"):
+                data[kind + "s"].append(record)
+    return data
 
 
 def write_series_csv(path: str, sampler: Any) -> None:

@@ -25,7 +25,12 @@ failure instead of silently pretending a dead node's disk is readable.
 **Legacy mode** (``policy=None``, the default for every pre-existing config)
 routes all I/O through this same API but delegates verbatim to the single
 configured storage system, so default runs stay bit-identical to the parity
-goldens while still feeding the per-tier byte counters.
+goldens while still feeding the per-tier byte counters.  It is not
+:func:`~repro.storage.policy.local_only`: a restart takes the newest common
+checkpoint without asking which copies survive, and a victim moved to a
+spare reads its image off the dead node's disk (a crash leaves the disk
+intact) and ships it over the network, where ``local_only()`` counts that
+disk unreadable and reboots the node in place.
 """
 
 from __future__ import annotations

@@ -121,7 +121,12 @@ class StoragePolicy:
 
 
 def local_only() -> StoragePolicy:
-    """L1-only: today's local-disk behaviour, expressed as a policy."""
+    """L1-only: every image on its node's local disk and nowhere else.
+
+    Not the default single-tier storage (``policy=None``): a dead node's disk
+    is unreadable here, so a victim reboots in place and returns its spare,
+    where the default moves it to the spare and reads the dead node's disk.
+    """
     return StoragePolicy(levels=("L1",))
 
 

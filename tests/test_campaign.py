@@ -671,9 +671,8 @@ def test_set_priority_only_raise_never_demotes():
 # ------------------------------------------------- telemetry auto-export
 def test_drain_store_auto_exports_per_worker_traces(tmp_path, monkeypatch):
     """REPRO_TELEMETRY_DIR: each worker's drain writes a parseable trace."""
-    import sys
-
     from repro.campaign import drain_store
+    from repro.obs import load_spans
 
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
     monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
@@ -686,11 +685,6 @@ def test_drain_store_auto_exports_per_worker_traces(tmp_path, monkeypatch):
     files = sorted(os.listdir(tmp_path))
     assert files == ["campaign-trace-w1.json", "campaign-trace-w2.json"]
 
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-    try:
-        from tools.timeline import load_spans
-    finally:
-        sys.path.pop(0)
     for name in files:
         spans, tracks = load_spans(os.path.join(str(tmp_path), name))
         # one campaign_task span per claimed row, on the worker's track

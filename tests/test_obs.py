@@ -656,17 +656,12 @@ class TestSampledScenario:
 
     def test_dashboard_renders_from_jsonl(self, sampled_failure_run, tmp_path):
         """Acceptance criterion: heatmap HTML renders end-to-end."""
-        import sys
+        from repro.obs import load_series
+        from repro.obs.report import occupancy_table, render_dashboard_html
 
         _, telemetry = sampled_failure_run
         path = tmp_path / "series.jsonl"
         write_series_jsonl(path, telemetry.sampler)
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-        try:
-            from tools.dashboard import (load_series, occupancy_table,
-                                         render_dashboard_html)
-        finally:
-            sys.path.pop(0)
         data = load_series(str(path))
         assert len(data["bins"]) == telemetry.sampler.n_bins
         html = render_dashboard_html(data, title="test run")

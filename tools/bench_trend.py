@@ -1,118 +1,29 @@
 #!/usr/bin/env python
 """Benchmark-history trend over a campaign store's ``benchmarks`` side table.
 
-Every :meth:`CampaignStore.record_benchmark` row is stamped with the payload
-schema version, the simulator fingerprint and a UTC timestamp, so a store
-that accumulates benchmark runs becomes a performance history.  This tool
-renders that history per scenario:
-
-* a stdout table — one row per recorded run, newest last, with the
-  events/sec rate and the percentage delta against the previous run of the
-  same scenario (regressions are visible as negative deltas);
-* optionally (``--html out.html``) a single-file HTML report with one line
-  chart per scenario, in the house dashboard style.
+Prints :func:`repro.campaign.dashboard.trend_table` and, with
+``--html out.html``, writes the single-file report of
+:func:`repro.campaign.dashboard.render_trend_html`.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_trend.py --db sweep.sqlite
     PYTHONPATH=src python tools/bench_trend.py --db sweep.sqlite \\
         --name kernel_speed --html trend.html
-
-The same data is served live by the campaign observatory's ``GET /api/bench``.
 """
 
 from __future__ import annotations
 
 import argparse
-import html
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from dashboard import line_chart_svg, page_css  # noqa: E402 (sibling tool)
-
-from repro.analysis.reporting import Table, format_table  # noqa: E402
-from repro.campaign import CampaignStore  # noqa: E402
-
-#: payload key holding the benchmark's headline rate
-RATE_KEY = "events_per_s"
-
-
-def group_by_scenario(rows) -> Dict[str, List[Dict[str, object]]]:
-    """Rows with a rate, grouped by ``payload["scenario"]``, oldest first."""
-    groups: Dict[str, List[Dict[str, object]]] = {}
-    for row in rows:
-        payload = row.get("payload") or {}
-        if RATE_KEY not in payload:
-            continue
-        scenario = str(payload.get("scenario", "?"))
-        groups.setdefault(scenario, []).append(row)
-    return groups
-
-
-def trend_table(rows, name: str) -> Table:
-    """Per-scenario events/sec trajectory with deltas against the previous run."""
-    table = Table(
-        title=f"Benchmark trend: {name} (newest last; Δ vs previous run)",
-        columns=["scenario", "recorded (UTC)", "sim version", "payload v",
-                 "events/s", "Δ"],
-    )
-    for scenario, runs in sorted(group_by_scenario(rows).items()):
-        previous: Optional[float] = None
-        for row in runs:
-            payload = row.get("payload") or {}
-            rate = float(payload[RATE_KEY])
-            if previous in (None, 0.0):
-                delta = "—"
-            else:
-                delta = f"{(rate - previous) / previous:+.1%}"
-            table.add_row(
-                scenario,
-                str(payload.get("recorded_at_utc", row.get("created_at", "?"))),
-                str(payload.get("sim_version", "?")),
-                payload.get("payload_version", "?"),
-                f"{rate:,.0f}",
-                delta)
-            previous = rate
-    return table
-
-
-def render_trend_html(rows, name: str, title: Optional[str] = None) -> str:
-    """Single-file HTML report: one line chart per scenario."""
-    title = title or f"benchmark trend: {name}"
-    charts: List[str] = []
-    for scenario, runs in sorted(group_by_scenario(rows).items()):
-        points: List[Tuple[float, float, str]] = []
-        for index, row in enumerate(runs):
-            payload = row.get("payload") or {}
-            rate = float(payload[RATE_KEY])
-            stamp = payload.get("recorded_at_utc", row.get("created_at", "?"))
-            points.append((float(index), rate,
-                           f"run {index + 1} · {stamp}\n"
-                           f"{payload.get('sim_version', '?')}: {rate:,.0f} events/s"))
-        charts.append(line_chart_svg(
-            points, scenario,
-            f"{len(runs)} recorded run{'s' if len(runs) != 1 else ''}, events/sec",
-            fmt=lambda v: f"{v:,.0f}",
-            x_fmt=lambda x: f"run {int(round(x)) + 1}"))
-    if not charts:
-        charts.append(f"<p>no {html.escape(name)} benchmark rows with an "
-                      f"<code>{RATE_KEY}</code> rate recorded yet</p>")
-    return f"""<!doctype html>
-<html><head><meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{html.escape(title)}</title>
-<style>{page_css()}</style></head><body>
-<h2>{html.escape(title)}</h2>
-<p class="sub">events/sec per recorded run, grouped by scenario; rows are
-stamped with the simulator fingerprint so rate shifts line up with code
-changes.</p>
-{''.join(charts)}
-</body></html>
-"""
+from repro.analysis.reporting import format_table
+from repro.campaign import CampaignStore
+from repro.campaign.dashboard import render_trend_html, trend_table
 
 
 def main(argv: Optional[List[str]] = None) -> int:

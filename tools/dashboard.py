@@ -1,17 +1,10 @@
 #!/usr/bin/env python
 """Render sampled run telemetry as a self-contained HTML dashboard.
 
-Consumes the series JSONL written by :func:`repro.obs.write_series_jsonl`
-(the :class:`~repro.obs.StateSampler` export) and produces:
-
-* a per-state occupancy summary table on stdout;
-* optionally (``--html out.html``) a single-file HTML report — a rank-state
-  heatmap (rank × time bin, one colour per state), a utilization
-  stacked-area chart (fraction of ranks per state over time), and NIC
-  utilization / sender-log line charts.  No external assets or JS
-  libraries; every chart carries a legend, hover tool-tips and a
-  table-view twin, with light/dark colour schemes selected via
-  ``prefers-color-scheme``.
+Reads the series JSONL written by :func:`repro.obs.write_series_jsonl`,
+prints the per-state occupancy table and, with ``--html out.html``, writes
+the single-file run dashboard of :func:`repro.obs.report.render_dashboard_html`
+(rank-state heatmap, utilization stacked area, NIC and sender-log lines).
 
 Usage::
 
@@ -22,392 +15,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import html
-import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.reporting import Table, format_table
-
-#: categorical palette (validated fixed slot order; light / dark surface
-#: steps) — state identity keeps its colour everywhere in the report
-_STATE_COLOURS = {
-    "compute": ("#2a78d6", "#3987e5"),
-    "send_blocked": ("#eb6834", "#d95926"),
-    "recv_blocked": ("#1baf7a", "#199e70"),
-    "checkpoint": ("#eda100", "#c98500"),
-    "recovery": ("#e87ba4", "#d55181"),
-    "finished": ("#008300", "#008300"),
-}
-
-#: cap on heatmap cells: beyond this, rank rows are aggregated in blocks
-_MAX_HEATMAP_CELLS = 200_000
-
-
-def load_series(path: str) -> Dict[str, object]:
-    """Parse a series JSONL file into ``{meta, bins, phases}``."""
-    meta: Dict[str, object] = {}
-    bins: List[Dict[str, object]] = []
-    phases: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "meta":
-                meta = record
-            elif kind == "bin":
-                bins.append(record)
-            elif kind == "phase":
-                phases.append(record)
-    return {"meta": meta, "bins": bins, "phases": phases}
-
-
-def occupancy_table(data: Dict[str, object]) -> Table:
-    """Mean fraction of ranks per state over the sampled window."""
-    meta = data["meta"]
-    states: List[str] = list(meta.get("states", []))
-    bins: List[Dict[str, object]] = data["bins"]
-    table = Table("Rank-state occupancy (mean fraction of ranks)",
-                  ["state", "mean", "peak"])
-    if not bins or not states:
-        return table
-    n_ranks = len(bins[0]["rank_states"])
-    for idx, state in enumerate(states):
-        fracs = [sum(1 for c in b["rank_states"] if c == idx) / n_ranks
-                 for b in bins]
-        table.add_row(state, f"{sum(fracs) / len(fracs):.3f}", f"{max(fracs):.3f}")
-    return table
-
-
-# ------------------------------------------------------------------ html
-def _css(states: List[str]) -> str:
-    light = "\n".join(f"  --state-{s}: {_STATE_COLOURS[s][0]};"
-                      for s in states if s in _STATE_COLOURS)
-    dark = "\n".join(f"    --state-{s}: {_STATE_COLOURS[s][1]};"
-                     for s in states if s in _STATE_COLOURS)
-    return f"""
-:root {{
-  color-scheme: light;
-  --surface-1: #fcfcfb;
-  --page: #f9f9f7;
-  --text-primary: #0b0b0b;
-  --text-secondary: #52514e;
-  --text-muted: #898781;
-  --grid: #e1e0d9;
-  --axis: #c3c2b7;
-  --series-1: #2a78d6;
-  --series-2: #eb6834;
-{light}
-}}
-@media (prefers-color-scheme: dark) {{
-  :root {{
-    color-scheme: dark;
-    --surface-1: #1a1a19;
-    --page: #0d0d0d;
-    --text-primary: #ffffff;
-    --text-secondary: #c3c2b7;
-    --text-muted: #898781;
-    --grid: #2c2c2a;
-    --axis: #383835;
-    --series-1: #3987e5;
-    --series-2: #d95926;
-{dark}
-  }}
-}}
-body {{ font: 13px/1.5 system-ui, -apple-system, "Segoe UI", sans-serif;
-       margin: 1.5em auto; max-width: 1100px; padding: 0 1em;
-       background: var(--page); color: var(--text-primary); }}
-figure {{ margin: 1.5em 0; padding: 1em; background: var(--surface-1);
-         border: 1px solid var(--grid); border-radius: 6px; }}
-figcaption {{ font-weight: 600; margin-bottom: 0.6em; }}
-.sub {{ color: var(--text-secondary); font-weight: 400; }}
-svg text {{ fill: var(--text-muted); font-size: 10px; }}
-svg .axisline {{ stroke: var(--axis); stroke-width: 1; }}
-svg .gridline {{ stroke: var(--grid); stroke-width: 1; }}
-.legend {{ display: flex; flex-wrap: wrap; gap: 1em; margin: 0.5em 0;
-          color: var(--text-secondary); }}
-.legend span {{ display: inline-flex; align-items: center; gap: 0.4em; }}
-.swatch {{ width: 10px; height: 10px; border-radius: 2px; display: inline-block; }}
-details {{ margin-top: 0.7em; color: var(--text-secondary); }}
-table {{ border-collapse: collapse; margin-top: 0.5em;
-        font-variant-numeric: tabular-nums; }}
-th, td {{ padding: 2px 10px; text-align: right; border-bottom: 1px solid var(--grid); }}
-th {{ color: var(--text-muted); font-weight: 600; }}
-td:first-child, th:first-child {{ text-align: left; }}
-.tiles {{ display: flex; flex-wrap: wrap; gap: 1em; }}
-.tile {{ background: var(--surface-1); border: 1px solid var(--grid);
-        border-radius: 6px; padding: 0.8em 1.2em; min-width: 10em; }}
-.tile .label {{ color: var(--text-secondary); }}
-.tile .value {{ font-size: 24px; font-weight: 600; }}
-"""
-
-
-def page_css(states=()) -> str:
-    """The report stylesheet (light/dark), reusable by sibling tools."""
-    return _css(list(states))
-
-
-def _legend(states: List[str]) -> str:
-    items = "".join(
-        f'<span><i class="swatch" style="background:var(--state-{s})"></i>'
-        f"{html.escape(s.replace('_', ' '))}</span>"
-        for s in states)
-    return f'<div class="legend">{items}</div>'
-
-
-def _fmt_bytes(value: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024 or unit == "GiB":
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    return f"{value:.1f} GiB"
-
-
-def _axis_ticks(t0: float, t1: float, width: int, x0: int, y: int,
-                x_fmt=lambda t: f"{t:.3g}s") -> str:
-    parts = []
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = x0 + frac * (width - x0)
-        t = t0 + frac * (t1 - t0)
-        parts.append(f'<text x="{x:.1f}" y="{y}" text-anchor="middle">'
-                     f"{html.escape(x_fmt(t))}</text>")
-    return "".join(parts)
-
-
-def _heatmap(data: Dict[str, object]) -> str:
-    meta = data["meta"]
-    bins = data["bins"]
-    states: List[str] = list(meta["states"])
-    n_ranks = len(bins[0]["rank_states"])
-    n_bins = len(bins)
-    # aggregate rank rows in blocks when the matrix would be too large to draw
-    block = 1
-    while (n_ranks // block + 1) * n_bins > _MAX_HEATMAP_CELLS:
-        block *= 2
-    n_rows = (n_ranks + block - 1) // block
-    x0, top, axis_band = 46, 8, 22
-    cell_w, cell_h = max(1100 // max(n_bins, 1), 2), max(min(14, 420 // n_rows), 2)
-    width, height = x0 + n_bins * cell_w, top + n_rows * cell_h + axis_band
-    gap = 1 if cell_w >= 4 and cell_h >= 4 else 0
-    cells: List[str] = []
-    for i, b in enumerate(bins):
-        row_states = b["rank_states"]
-        for row in range(n_rows):
-            lo, hi = row * block, min((row + 1) * block, n_ranks)
-            chunk = row_states[lo:hi]
-            # block rows show the dominant state of their ranks
-            code = max(set(chunk), key=chunk.count)
-            name = states[code]
-            label = (f"rank {lo}" if block == 1 else f"ranks {lo}-{hi - 1}")
-            tip = html.escape(
-                f"{label}\n[{b['t0']:.4g}s, {b['t1']:.4g}s): {name.replace('_', ' ')}",
-                quote=True)
-            cells.append(
-                f'<rect x="{x0 + i * cell_w}" y="{top + row * cell_h}" '
-                f'width="{cell_w - gap}" height="{cell_h - gap}" '
-                f'fill="var(--state-{name})"><title>{tip}</title></rect>')
-    labels = []
-    for row in range(0, n_rows, max(n_rows // 8, 1)):
-        lo = row * block
-        labels.append(f'<text x="{x0 - 6}" y="{top + row * cell_h + cell_h - 2}" '
-                      f'text-anchor="end">r{lo}</text>')
-    axis = _axis_ticks(bins[0]["t0"], bins[-1]["t1"], width, x0, height - 6)
-    note = (f" · {block} ranks per row" if block > 1 else "")
-    return f"""<figure>
-<figcaption>Rank-state heatmap <span class="sub">— one cell per rank × {meta['bin_s']:.4g}s bin{note}</span></figcaption>
-{_legend(states)}
-<svg viewBox="0 0 {width} {height}" width="100%" role="img" aria-label="Rank-state heatmap">
-<line class="axisline" x1="{x0}" y1="{top + n_rows * cell_h}" x2="{width}" y2="{top + n_rows * cell_h}"/>
-{''.join(labels)}
-{''.join(cells)}
-{axis}
-</svg>
-{_table_view(data, kind="counts")}
-</figure>"""
-
-
-def _stacked_area(data: Dict[str, object]) -> str:
-    meta = data["meta"]
-    bins = data["bins"]
-    states: List[str] = list(meta["states"])
-    n_ranks = len(bins[0]["rank_states"])
-    x0, top, axis_band, plot_h = 46, 8, 22, 180
-    width = 1100
-    height = top + plot_h + axis_band
-    t0, t1 = bins[0]["t0"], bins[-1]["t1"]
-    span = max(t1 - t0, 1e-12)
-
-    def x_of(t: float) -> float:
-        return x0 + (t - t0) / span * (width - x0)
-
-    xs = [x_of((b["t0"] + b["t1"]) / 2.0) for b in bins]
-    cum = [0.0] * len(bins)
-    layers: List[str] = []
-    boundaries: List[str] = []
-    for idx, state in enumerate(states):
-        fracs = [sum(1 for c in b["rank_states"] if c == idx) / n_ranks
-                 for b in bins]
-        lower = list(cum)
-        cum = [c + f for c, f in zip(cum, fracs)]
-        pts_top = [f"{x:.1f},{top + plot_h * (1 - v):.1f}" for x, v in zip(xs, cum)]
-        pts_bot = [f"{x:.1f},{top + plot_h * (1 - v):.1f}"
-                   for x, v in zip(reversed(xs), reversed(lower))]
-        if any(fracs):
-            layers.append(
-                f'<polygon points="{" ".join(pts_top + pts_bot)}" '
-                f'fill="var(--state-{state})" fill-opacity="0.85">'
-                f'<title>{html.escape(state.replace("_", " "), quote=True)}</title></polygon>')
-            # 2px surface-coloured separator between stacked fills
-            boundaries.append(
-                f'<polyline points="{" ".join(pts_top)}" fill="none" '
-                f'stroke="var(--surface-1)" stroke-width="2"/>')
-    grid = "".join(
-        f'<line class="gridline" x1="{x0}" y1="{top + plot_h * (1 - v):.1f}" '
-        f'x2="{width}" y2="{top + plot_h * (1 - v):.1f}"/>'
-        f'<text x="{x0 - 6}" y="{top + plot_h * (1 - v) + 3:.1f}" '
-        f'text-anchor="end">{int(v * 100)}%</text>'
-        for v in (0.0, 0.5, 1.0))
-    axis = _axis_ticks(t0, t1, width, x0, height - 6)
-    return f"""<figure>
-<figcaption>Utilization stacked area <span class="sub">— fraction of ranks per state</span></figcaption>
-{_legend(states)}
-<svg viewBox="0 0 {width} {height}" width="100%" role="img" aria-label="Utilization stacked area">
-{grid}
-{''.join(layers)}
-{''.join(boundaries)}
-<line class="axisline" x1="{x0}" y1="{top + plot_h}" x2="{width}" y2="{top + plot_h}"/>
-{axis}
-</svg>
-{_table_view(data, kind="fractions")}
-</figure>"""
-
-
-def line_chart_svg(points, title: str, sub: str,
-                   colour: str = "var(--series-1)",
-                   fmt=lambda v: f"{v:.3g}",
-                   x_fmt=lambda t: f"{t:.3g}s") -> str:
-    """One single-series SVG line chart figure (the report's house style).
-
-    ``points`` is a sequence of ``(x, value, tooltip)`` triples (``tooltip``
-    may be ``None`` for the default ``x: value`` form).  Reused by the
-    benchmark-trend tool, so it assumes nothing about the x axis beyond
-    monotonicity — ``x_fmt`` renders the axis ticks.
-    """
-    points = [(float(x), float(v), tip) for x, v, tip in points]
-    x0, top, axis_band, plot_h = 56, 8, 22, 120
-    width = 1100
-    height = top + plot_h + axis_band
-    t0, t1 = points[0][0], points[-1][0]
-    span = max(t1 - t0, 1e-12)
-    vmax = max(max(v for _, v, _ in points), 1e-12)
-    pts = []
-    dots = []
-    for x_val, v, tip in points:
-        x = x0 + (x_val - t0) / span * (width - x0)
-        y = top + plot_h * (1 - v / vmax)
-        pts.append(f"{x:.1f},{y:.1f}")
-        tip = html.escape(tip if tip is not None else f"{x_fmt(x_val)}: {fmt(v)}",
-                          quote=True)
-        dots.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="transparent">'
-                    f"<title>{tip}</title></circle>")
-    grid = "".join(
-        f'<line class="gridline" x1="{x0}" y1="{top + plot_h * (1 - g):.1f}" '
-        f'x2="{width}" y2="{top + plot_h * (1 - g):.1f}"/>'
-        f'<text x="{x0 - 6}" y="{top + plot_h * (1 - g) + 3:.1f}" '
-        f'text-anchor="end">{fmt(vmax * g)}</text>'
-        for g in (0.0, 0.5, 1.0))
-    axis = _axis_ticks(t0, t1, width, x0, height - 6, x_fmt=x_fmt)
-    # single series: the caption names it, no legend box needed
-    return f"""<figure>
-<figcaption>{html.escape(title)} <span class="sub">— {html.escape(sub)}</span></figcaption>
-<svg viewBox="0 0 {width} {height}" width="100%" role="img" aria-label="{html.escape(title)}">
-{grid}
-<polyline points="{' '.join(pts)}" fill="none" stroke="{colour}"
- stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>
-<line class="axisline" x1="{x0}" y1="{top + plot_h}" x2="{width}" y2="{top + plot_h}"/>
-{''.join(dots)}
-{axis}
-</svg>
-</figure>"""
-
-
-def _line_chart(data: Dict[str, object], key: str, title: str, sub: str,
-                colour: str, fmt=lambda v: f"{v:.3g}") -> str:
-    bins = data["bins"]
-    points = [((b["t0"] + b["t1"]) / 2.0, float(b.get(key, 0.0)),
-               f"[{b['t0']:.4g}s, {b['t1']:.4g}s): {fmt(float(b.get(key, 0.0)))}")
-              for b in bins]
-    return line_chart_svg(points, title, sub, colour, fmt=fmt)
-
-
-def _table_view(data: Dict[str, object], kind: str) -> str:
-    meta = data["meta"]
-    bins = data["bins"]
-    states: List[str] = list(meta["states"])
-    n_ranks = len(bins[0]["rank_states"])
-    head = "".join(f"<th>{html.escape(s)}</th>" for s in states)
-    rows = []
-    for b in bins:
-        counts = [0] * len(states)
-        for c in b["rank_states"]:
-            counts[c] += 1
-        if kind == "fractions":
-            cells = "".join(f"<td>{c / n_ranks:.2f}</td>" for c in counts)
-        else:
-            cells = "".join(f"<td>{c}</td>" for c in counts)
-        rows.append(f"<tr><td>{b['t0']:.4g}–{b['t1']:.4g}s</td>{cells}</tr>")
-    return (f"<details><summary>Table view</summary><table>"
-            f"<tr><th>bin</th>{head}</tr>{''.join(rows)}</table></details>")
-
-
-def render_dashboard_html(data: Dict[str, object],
-                          title: str = "repro run dashboard") -> str:
-    """Build the single-file HTML report."""
-    meta = data["meta"]
-    bins = data["bins"]
-    if not bins:
-        return (f"<!doctype html><html><body><p>{html.escape(title)}: "
-                f"empty series</p></body></html>")
-    states: List[str] = list(meta["states"])
-    summary = meta.get("summary", {}) or {}
-    tiles = "".join(
-        f'<div class="tile"><div class="label">{html.escape(label)}</div>'
-        f'<div class="value">{html.escape(value)}</div></div>'
-        for label, value in (
-            ("Ranks", str(meta.get("n_ranks", len(bins[0]["rank_states"])))),
-            ("Sampled window", f"{bins[-1]['t1']:.4g}s"),
-            ("Peak NIC utilization", f"{summary.get('nic_util_peak', 0.0):.1%}"),
-            ("Mean NIC utilization", f"{summary.get('nic_util_mean', 0.0):.1%}"),
-            ("Max inbox depth", f"{summary.get('inbox_depth_max', 0.0):.0f}"),
-            ("Peak sender-log bytes", _fmt_bytes(summary.get("log_bytes_peak", 0.0))),
-        ))
-    charts = [
-        _heatmap(data),
-        _stacked_area(data),
-        _line_chart(data, "nic_busy_frac", "NIC utilization",
-                    "fraction of NICs with an in-flight transfer",
-                    "var(--series-1)", fmt=lambda v: f"{v:.0%}"),
-        _line_chart(data, "log_bytes_total", "Sender-log retained bytes",
-                    "total across ranks", "var(--series-2)", fmt=_fmt_bytes),
-    ]
-    return f"""<!doctype html>
-<html><head><meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{html.escape(title)}</title>
-<style>{_css(states)}</style></head><body>
-<h2>{html.escape(title)}</h2>
-<p class="sub">{len(bins)} bins × {meta['bin_s']:.4g}s; sampled passively at event
-boundaries — the traced run is bit-identical to an unsampled one.</p>
-<div class="tiles">{tiles}</div>
-{''.join(charts)}
-</body></html>
-"""
+from repro.analysis.reporting import format_table
+from repro.obs import load_series
+from repro.obs.report import occupancy_table, render_dashboard_html
 
 
 def main(argv: Optional[List[str]] = None) -> int:

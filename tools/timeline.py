@@ -1,20 +1,12 @@
 #!/usr/bin/env python
 """Render an exported Chrome trace as a summary table and/or HTML timeline.
 
-Consumes the ``trace_event`` JSON written by
-:func:`repro.obs.write_chrome_trace` (or any file in the same format) and
-produces:
-
-* a phase summary table on stdout — per (category, span name): count, total
-  and mean duration, share of the traced window;
-* optionally a **self-contained** HTML timeline (``--html out.html``): one
-  row per track, spans drawn as positioned ``div`` blocks scaled to
-  simulated time, with hover tool-tips carrying the span attributes.  No
-  external assets or JavaScript libraries — the file opens anywhere.
-
-The trace itself remains loadable in ``chrome://tracing`` / Perfetto; this
-tool exists for terminals and CI artifacts where a browser devtool is not at
-hand.
+Reads the ``trace_event`` JSON written by :func:`repro.obs.write_chrome_trace`
+(or any file in the same format), prints the span summary table and, with
+``--html out.html``, writes the single-file timeline of
+:func:`repro.obs.report.render_timeline_html` (one lane per track).  The
+trace itself remains loadable in ``chrome://tracing`` / Perfetto; this tool
+exists for terminals and CI artifacts where a browser devtool is not at hand.
 
 Usage::
 
@@ -26,147 +18,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import html
-import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.reporting import Table, format_table
-
-#: fill colours per span category (cycled for unknown categories)
-_PALETTE = {
-    "ckpt": "#4c78a8",
-    "ckpt.stage": "#9ecae9",
-    "storage": "#f58518",
-    "recovery": "#e45756",
-    "recovery.stage": "#f2a49f",
-    "campaign": "#54a24b",
-    "": "#b5b5b5",
-}
-_FALLBACK_COLOURS = ["#72b7b2", "#eeca3b", "#b279a2", "#ff9da6", "#9d755d"]
-
-
-def load_spans(path: str) -> Tuple[List[Dict[str, object]], Dict[int, str]]:
-    """Parse a trace_event JSON file into (complete events, tid→track names)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    events = doc.get("traceEvents", doc if isinstance(doc, list) else [])
-    tracks: Dict[int, str] = {}
-    spans: List[Dict[str, object]] = []
-    for ev in events:
-        ph = ev.get("ph")
-        if ph == "M" and ev.get("name") == "thread_name":
-            tracks[int(ev.get("tid", 0))] = str(ev.get("args", {}).get("name", ""))
-        elif ph == "X":
-            spans.append(ev)
-    return spans, tracks
-
-
-def summary_table(spans: List[Dict[str, object]]) -> Table:
-    """Aggregate complete events per (category, name) into a printable table."""
-    agg: Dict[Tuple[str, str], List[float]] = {}
-    aborted: Dict[Tuple[str, str], int] = {}
-    for ev in spans:
-        key = (str(ev.get("cat", "")), str(ev.get("name", "")))
-        agg.setdefault(key, []).append(float(ev.get("dur", 0.0)) / 1e6)
-        if ev.get("args", {}).get("aborted"):
-            aborted[key] = aborted.get(key, 0) + 1
-    window_s = _window(spans)
-    # the share column sums over concurrent tracks, so it can exceed 100%
-    table = Table(
-        title="Span summary",
-        columns=["category", "span", "count", "aborted", "total (s)",
-                 "mean (s)", "% of window (all tracks)"],
-    )
-    for key in sorted(agg, key=lambda k: -sum(agg[k])):
-        durs = agg[key]
-        total = sum(durs)
-        table.add_row(key[0], key[1], len(durs), aborted.get(key, 0), total,
-                      total / len(durs), 100.0 * total / window_s if window_s else 0.0)
-    return table
-
-
-def _window(spans: List[Dict[str, object]]) -> float:
-    """Traced window in seconds (earliest start to latest end)."""
-    if not spans:
-        return 0.0
-    start = min(float(ev.get("ts", 0.0)) for ev in spans)
-    end = max(float(ev.get("ts", 0.0)) + float(ev.get("dur", 0.0)) for ev in spans)
-    return (end - start) / 1e6
-
-
-def _colour(category: str) -> str:
-    if category in _PALETTE:
-        return _PALETTE[category]
-    return _FALLBACK_COLOURS[hash(category) % len(_FALLBACK_COLOURS)]
-
-
-def render_html(spans: List[Dict[str, object]], tracks: Dict[int, str],
-                title: str = "repro timeline") -> str:
-    """Build a single-file HTML timeline (no external assets)."""
-    if not spans:
-        return f"<!doctype html><html><body><p>{html.escape(title)}: empty trace</p></body></html>"
-    t0 = min(float(ev["ts"]) for ev in spans)
-    t1 = max(float(ev["ts"]) + float(ev.get("dur", 0.0)) for ev in spans)
-    window = max(t1 - t0, 1e-9)
-
-    by_tid: Dict[int, List[Dict[str, object]]] = {}
-    for ev in spans:
-        by_tid.setdefault(int(ev.get("tid", 0)), []).append(ev)
-
-    rows: List[str] = []
-    for tid in sorted(by_tid):
-        name = tracks.get(tid, f"tid{tid}")
-        blocks: List[str] = []
-        for ev in sorted(by_tid[tid], key=lambda e: float(e["ts"])):
-            left = 100.0 * (float(ev["ts"]) - t0) / window
-            width = max(100.0 * float(ev.get("dur", 0.0)) / window, 0.05)
-            cat = str(ev.get("cat", ""))
-            args = ev.get("args", {}) or {}
-            tip_lines = [f"{ev.get('name')} [{cat}]",
-                         f"start={float(ev['ts']) / 1e6:.6g}s "
-                         f"dur={float(ev.get('dur', 0.0)) / 1e6:.6g}s"]
-            tip_lines += [f"{k}={v}" for k, v in sorted(args.items())]
-            tip = html.escape("\n".join(tip_lines), quote=True)
-            style = (f"left:{left:.4f}%;width:{width:.4f}%;"
-                     f"background:{_colour(cat)};")
-            if args.get("aborted"):
-                style += "border:1px dashed #900;"
-            label = html.escape(str(ev.get("name", "")))
-            blocks.append(f'<div class="span" style="{style}" title="{tip}">'
-                          f"{label}</div>")
-        rows.append(
-            f'<div class="row"><div class="lbl">{html.escape(name)}</div>'
-            f'<div class="lane">{"".join(blocks)}</div></div>'
-        )
-
-    axis = "".join(
-        f'<span style="left:{pct}%">{(t0 + window * pct / 100.0) / 1e6:.4g}s</span>'
-        for pct in (0, 25, 50, 75, 100)
-    )
-    return f"""<!doctype html>
-<html><head><meta charset="utf-8"><title>{html.escape(title)}</title>
-<style>
-body {{ font: 12px/1.4 -apple-system, "Segoe UI", sans-serif; margin: 1em; }}
-.row {{ display: flex; align-items: center; margin: 2px 0; }}
-.lbl {{ flex: 0 0 10em; text-align: right; padding-right: 0.6em; color: #444;
-       white-space: nowrap; overflow: hidden; text-overflow: ellipsis; }}
-.lane {{ position: relative; flex: 1; height: 20px; background: #f4f4f4; }}
-.span {{ position: absolute; top: 1px; bottom: 1px; overflow: hidden;
-        color: #fff; font-size: 10px; padding-left: 2px; white-space: nowrap;
-        border-radius: 2px; box-sizing: border-box; }}
-.axis {{ position: relative; height: 1.4em; margin-left: 10.6em; color: #666; }}
-.axis span {{ position: absolute; transform: translateX(-50%); }}
-</style></head><body>
-<h3>{html.escape(title)}</h3>
-<p>{len(spans)} spans over {window / 1e6:.6g} simulated seconds.</p>
-{"".join(rows)}
-<div class="axis">{axis}</div>
-</body></html>
-"""
+from repro.analysis.reporting import format_table
+from repro.obs import load_spans
+from repro.obs.report import render_timeline_html, span_summary_table
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -187,11 +47,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not spans:
         print("no complete (ph=X) events in trace")
         return 1
-    print(format_table(summary_table(spans)))
+    print(format_table(span_summary_table(spans)))
     if args.html:
         title = args.title or os.path.basename(args.trace)
         with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_html(spans, tracks, title=title))
+            fh.write(render_timeline_html(spans, tracks, title=title))
         print(f"\nwrote HTML timeline to {args.html}")
     return 0
 
