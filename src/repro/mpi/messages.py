@@ -32,6 +32,11 @@ class MessageKind(enum.Enum):
     CONTROL = "control"
     MARKER = "marker"
 
+    # Every inbox key holds a kind.  Members are singletons compared by
+    # identity, so the identity hash is exact and C-level, where
+    # ``Enum.__hash__`` hashes the member name in Python on every lookup.
+    __hash__ = object.__hash__
+
 
 _message_counter = itertools.count()
 

@@ -56,6 +56,9 @@ class SimStats:
     provably avoided relative to the full coroutine/event model — the
     determinism-parity tests assert ``slow.processed_events ==
     fast.processed_events + fast.stats.events_elided`` for toggled runs.
+    The ``inbox_*`` counters are the MPI inbox's health: they move only on
+    wildcard receives and bucket creation, and ``inbox_peak_buckets`` is a
+    high-water mark rather than a sum.
     """
 
     __slots__ = (
@@ -72,6 +75,9 @@ class SimStats:
         "fastpath_rx",
         "fastpath_local",
         "events_elided",
+        "inbox_wildcard_gets",
+        "inbox_buckets_scanned",
+        "inbox_peak_buckets",
     )
 
     def __init__(self) -> None:
@@ -88,6 +94,9 @@ class SimStats:
         self.fastpath_rx = 0          # closed-form delivery paths
         self.fastpath_local = 0       # same-node deliveries without a process
         self.events_elided = 0        # calendar events the fast paths avoided
+        self.inbox_wildcard_gets = 0  # inbox receives with kind, src or tag None
+        self.inbox_buckets_scanned = 0  # buckets visited by kind/tag-less wildcards
+        self.inbox_peak_buckets = 0   # most live buckets one inbox held (a maximum)
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict snapshot (for payloads, logs and benchmark reports)."""

@@ -86,6 +86,16 @@ def test_slow_path_matches_golden_and_event_accounting(config, golden):
     assert slow_events == fast_events + fast_elided
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=scenario_label)
+def test_inbox_health_counters_match_across_paths(config):
+    """Inbox wildcard, scan and peak-bucket counts follow the simulated
+    message order alone, so both network models report the same values."""
+    *_, slow_stats = _run(config, fast=False)
+    *_, fast_stats = _run(config, fast=True)
+    for name in ("inbox_wildcard_gets", "inbox_buckets_scanned", "inbox_peak_buckets"):
+        assert slow_stats[name] == fast_stats[name], name
+
+
 def _transfer_elapsed(fast: bool, nbytes: int = 500_000) -> float:
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=fast)

@@ -1,8 +1,10 @@
 """Indexed inbox matching and the lazy-piggyback message path.
 
 The PR 7 kernel tier replaced the seed's predicate-scan ``Store`` inbox with
-per-``(kind, src, tag)`` buckets (:class:`repro.mpi.runtime.Inbox`).  These
-tests pin the semantics the buckets must preserve bit-for-bit:
+per-``(kind, src, tag)`` buckets (:class:`repro.mpi.runtime.Inbox`), which
+now drop a bucket as soon as it drains and index ``ANY_SOURCE`` receives by
+``(kind, tag)`` in delivery order.  These tests pin the semantics the indexes
+must preserve bit-for-bit:
 
 * FIFO order within one ``(src, tag)`` channel,
 * wildcard (``ANY_SOURCE``/``ANY_TAG``) receives returning the
@@ -11,16 +13,27 @@ tests pin the semantics the buckets must preserve bit-for-bit:
 * ``capture_resume``'s inbox capture enumerating buffered messages in
   delivery order (what the seed's insertion-ordered list scan produced),
   including the mid-receive limbo message, and surviving a rollback restore,
+* every get, put and wake-up agreeing with the seed ``Store`` on random
+  interleavings, with no drained bucket or index entry left behind,
+* a NORM run issuing its wildcard receives through the index, never the scan,
 * no piggyback dict allocated on the no-metadata send path.
 """
 
-import pytest
+import pickle
+from collections import defaultdict
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.ckpt.scheduler import CheckpointSchedule
 from repro.cluster.topology import GIDEON_300, Cluster
+from repro.experiments.config import QUICK, ScenarioConfig
+from repro.experiments.runner import run_scenario
 from repro.mpi.messages import Message, MessageKind, fast_message
 from repro.mpi.ops import Recv, Send
 from repro.mpi.runtime import Inbox, MpiRuntime
 from repro.sim.engine import Simulator
+from repro.sim.primitives import Store
 from repro.sim.rng import RandomStreams
 
 
@@ -183,6 +196,115 @@ def test_restore_then_new_deliveries_keep_global_order():
     ctx.inbox.put(fresh)
     assert ctx.inbox.items_in_order() == [old, fresh]
     assert drain(ctx.inbox.get(MessageKind.APP, None, None)) is old
+
+
+# -- differential check against the seed Store --------------------------------
+
+KINDS = (MessageKind.APP, MessageKind.CONTROL)
+SRCS = (0, 1, 2)
+TAGS = (0, 1)
+
+PUTS = st.tuples(st.just("put"), st.sampled_from(KINDS), st.sampled_from(SRCS),
+                 st.sampled_from(TAGS))
+#: exact, ANY_SOURCE, ANY_TAG, any-kind and full-wildcard patterns; a get
+#: that finds no buffered match blocks until a later put
+GETS = st.tuples(st.just("get"), st.sampled_from(KINDS + (None,)),
+                 st.sampled_from(SRCS + (None,)), st.sampled_from(TAGS + (None,)))
+
+
+def _pattern(kind, src, tag):
+    """The seed runtime's matcher closure for one receive."""
+    return lambda m: ((kind is None or m.kind is kind)
+                      and (src is None or m.src == src)
+                      and (tag is None or m.tag == tag))
+
+
+def assert_indexes_consistent(inbox):
+    """No drained bucket or index entry; the index holds exactly the buffer."""
+    assert all(inbox._buckets.values())
+    assert all(inbox._any_source.values())
+    by_kind_tag = defaultdict(list)
+    for msg in inbox.items_in_order():
+        by_kind_tag[msg.kind, msg.tag].append(msg)
+    assert {key: list(index.values()) for key, index in inbox._any_source.items()} \
+        == dict(by_kind_tag)
+    for index in inbox._any_source.values():
+        assert list(index) == [m._arrival for m in index.values()]
+    assert len(inbox) == sum(map(len, inbox._buckets.values()))
+
+
+@given(ops=st.lists(st.one_of(PUTS, GETS), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_inbox_matches_seed_store_on_random_interleavings(ops):
+    inbox_sim, store_sim = Simulator(), Simulator()
+    inbox, store = Inbox(inbox_sim, rank=0), Store(store_sim)
+    inbox_woken, store_woken = [], []
+    for step, (op, kind, src, tag) in enumerate(ops):
+        if op == "put":
+            msg = fast_message(src, 0, 1, tag, kind, None, None, 0.0)
+            inbox.put(msg)
+            store.put(msg)
+        else:
+            for ev, woken in ((inbox.get(kind, src, tag), inbox_woken),
+                              (store.get(_pattern(kind, src, tag)), store_woken)):
+                ev.callbacks.append(lambda ev, step=step, woken=woken:
+                                    woken.append((step, ev.value.seq)))
+        inbox_sim.run()
+        store_sim.run()
+        # same message for every get, woken in the same order
+        assert inbox_woken == store_woken
+        assert len(inbox) == len(store)
+        assert [m.seq for m in inbox.items_in_order()] == [m.seq for m in store.items]
+        assert len(inbox._waiters) == len(store._getters)
+        assert_indexes_consistent(inbox)
+
+
+def test_any_source_receive_takes_the_index_not_the_scan():
+    sim = Simulator()
+    inbox = Inbox(sim, rank=0)
+    for src in (3, 1, 2):
+        inbox.put(fast_message(src, 0, 64, 5, MessageKind.CONTROL, None, None, 0.0))
+    inbox.put(app_msg(1, 0, tag=5))
+    got = [drain(inbox.get(MessageKind.CONTROL, None, 5)).src for _ in range(3)]
+    assert got == [3, 1, 2]
+    assert sim.stats.inbox_wildcard_gets == 3
+    assert sim.stats.inbox_buckets_scanned == 0
+    assert sim.stats.inbox_peak_buckets == 4
+    # an ANY_TAG receive scans the live buckets: only the APP one is left
+    assert drain(inbox.get(MessageKind.APP, 1, None)).kind is MessageKind.APP
+    assert sim.stats.inbox_buckets_scanned == 1
+    assert not inbox._buckets and not inbox._any_source
+
+
+def test_message_kind_hash_is_identity_and_pickles_to_the_member():
+    assert MessageKind.__hash__ is object.__hash__
+    for kind in MessageKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert pickle.loads(pickle.dumps(kind)) is kind
+
+
+# -- NORM coordination never scans --------------------------------------------
+
+def test_norm_coordination_wildcards_use_the_index_and_leave_inboxes_empty():
+    """NORM's bookmark and barrier receives are ANY_SOURCE with a kind and a
+    tag: each is served by the (kind, tag) index, so a return to scanning
+    fails the count instead of only slowing the run down."""
+    config = ScenarioConfig("hpl", 32, "NORM", CheckpointSchedule(times=(0.75, 2.0)),
+                            workload_options=dict(QUICK.hpl_options),
+                            max_group_size=8, do_restart=False, seed=7)
+    result = run_scenario(config)
+    assert result.checkpoints_completed >= 2
+    for ctx in result.app.contexts:
+        assert len(ctx.inbox) == 0
+        assert not ctx.inbox._buckets and not ctx.inbox._any_source
+    stats = result.app.contexts[0].sim.stats
+    assert stats.inbox_wildcard_gets > 0
+    assert stats.inbox_buckets_scanned == 0
+    assert stats.inbox_peak_buckets > 0
+    flat = result.telemetry.metrics.as_flat_dict()
+    assert flat["sim.events.inbox_wildcard_gets"] == stats.inbox_wildcard_gets
+    assert flat["sim.events.inbox_buckets_scanned"] == 0
+    assert flat["sim.events.inbox_peak_buckets"] == stats.inbox_peak_buckets
 
 
 # -- lazy piggyback -----------------------------------------------------------
