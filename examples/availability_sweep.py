@@ -30,7 +30,7 @@ import sys
 from repro.analysis.reporting import format_table
 from repro.campaign import Campaign, CampaignStore, results_to_csv, set_default_campaign
 from repro.experiments.availability import (
-    availability_experiment,
+    AVAILABILITY,
     calibrated_interval_table,
     concurrency_ablation,
 )
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     seeds = tuple(range(1 if args.quick else args.seeds))
     rates = (100.0, 50.0) if args.quick else (240.0, 100.0, 50.0)
 
-    out = availability_experiment(
+    out = AVAILABILITY.run(
         mtbf_per_node_s=rates,
         spare_counts=(0, args.spares),
         seeds=seeds,

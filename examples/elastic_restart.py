@@ -29,7 +29,7 @@ import sys
 
 from repro.analysis.reporting import format_table
 from repro.campaign import Campaign, CampaignStore, results_to_csv, set_default_campaign
-from repro.experiments.elastic import elastic_experiment
+from repro.experiments.elastic import ELASTIC_SHRINK, work_conservation_table
 
 
 def main(argv=None) -> int:
@@ -52,10 +52,10 @@ def main(argv=None) -> int:
     workloads = ("halo2d",) if args.quick else ("halo2d", "hpl")
     methods = ("GP4",) if args.quick else ("NORM", "GP4")
 
-    out = elastic_experiment(workloads=workloads, methods=methods)
-    print(format_table(out["conservation_table"]))
+    out = ELASTIC_SHRINK.run(workloads=workloads, methods=methods)
+    print(format_table(work_conservation_table(workloads=workloads)))
     print()
-    print(format_table(out["repartition_table"]))
+    print(format_table(out["repartition"]))
 
     failed = [r for r in out["results"] if not r.survived or not r.shrink_restarts]
     if failed:

@@ -19,11 +19,7 @@ that argument for a large HPL-like job:
 Run:  python examples/failure_aware_intervals.py
 """
 
-from repro.analysis.advisor import (
-    expected_overhead_fraction,
-    measured_costs,
-    suggest_checkpoint_interval,
-)
+from repro.analysis.advisor import expected_overhead_fraction, suggest_checkpoint_interval
 from repro.analysis.metrics import mean_checkpoint_duration
 from repro.analysis.reporting import Table, format_table
 from repro.ckpt import one_shot
@@ -107,31 +103,14 @@ def main() -> None:
     print("lowers the steady-state overhead and shrinks the work lost per failure.")
 
     # 5. measured calibration: live failure injection replaces the guesses
-    from repro.campaign.executor import get_default_campaign
-    from repro.experiments.availability import availability_configs
+    from repro.experiments.availability import AVAILABILITY, calibrated_interval_table
 
     print("\nCalibrating the advisor from measured recoveries "
           "(live kills, group rollback + replay)...")
-    configs = availability_configs(
-        workload="halo2d", n_ranks=16, methods=("GP", "NORM"),
-        mtbf_per_node_s=(50.0,), spare_counts=(0,), seeds=(0,),
-        max_failures=3)
-    measured_runs = {r.config.method: r
-                     for r in get_default_campaign().run(configs)}
-    table = Table(
-        title="Analytic vs measured-calibrated interval suggestions",
-        columns=["method", "ckpt cost (s)", "recovery/failure (s)",
-                 "analytic interval (s)", "calibrated interval (s)"],
-    )
-    for name, run in measured_runs.items():
-        costs = measured_costs(run)
-        analytic = suggest_checkpoint_interval(costs.checkpoint_cost_s, system_mtbf)
-        calibrated = suggest_checkpoint_interval(
-            costs.checkpoint_cost_s, system_mtbf, measured=costs)
-        table.add_row(name, round(costs.checkpoint_cost_s, 2),
-                      round(costs.recovery_cost_s, 2),
-                      round(analytic.interval_s, 1), round(calibrated.interval_s, 1))
-    print(format_table(table))
+    measured = AVAILABILITY.run(methods=("GP", "NORM"), mtbf_per_node_s=(50.0,),
+                                spare_counts=(0,), seeds=(0,), max_failures=3)
+    print(format_table(calibrated_interval_table(
+        measured["results"], mtbf_s=system_mtbf)["table"]))
     print("\nMeasured recovery time is time the machine does no work, so the")
     print("effective MTBF shrinks and the calibrated optimum checkpoints slightly")
     print("more often — most visibly for methods with expensive recoveries.")

@@ -31,10 +31,7 @@ import sys
 
 from repro.analysis.reporting import format_table
 from repro.campaign import Campaign, CampaignStore, results_to_csv, set_default_campaign
-from repro.experiments.storage_tiers import (
-    storage_tier_experiment,
-    tier_cost_calibration,
-)
+from repro.experiments.storage_tiers import STORAGE_TIERS, tier_cost_calibration
 
 
 def main(argv=None) -> int:
@@ -58,8 +55,8 @@ def main(argv=None) -> int:
     policies = (("L1", "L1+L2") if args.quick
                 else ("L1", "L1+L2", "L1+L2same", "L1+L2+L3"))
 
-    out = storage_tier_experiment(methods=methods, policies=policies)
-    print(format_table(out["overhead_table"]))
+    out = STORAGE_TIERS.run(methods=methods, policies=policies)
+    print(format_table(out["overhead"]))
     print()
     print(format_table(out["survivability"]))
     print()

@@ -66,7 +66,6 @@ from repro.campaign.export import (
     results_to_csv_text,
     results_to_series,
     results_to_table,
-    store_to_csv,
     stored_results,
     summary_table,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "results_to_table",
     "scenario_key",
     "set_default_campaign",
-    "store_to_csv",
     "stored_results",
     "summary_table",
 ]

@@ -329,10 +329,6 @@ class Campaign:
         """Convenience: run (or fetch) a single scenario."""
         return self.run([config])[0]
 
-    def sweep(self, grid, n_workers: Optional[int] = None) -> List[StoredResult]:
-        """Run a :class:`~repro.campaign.grid.ParameterGrid` end to end."""
-        return self.run(grid.expand(), n_workers=n_workers)
-
     def resume(self, n_workers: Optional[int] = None, force: bool = False) -> int:
         """Re-open ``failed`` and orphaned ``running`` rows and drain the store.
 

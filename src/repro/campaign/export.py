@@ -191,12 +191,12 @@ def stored_results(
 ) -> List[StoredResult]:
     """Stored rows as :class:`StoredResult`, filtered by config fields.
 
-    The shared read-side selector: the observatory server's ``/api/results``
-    and the per-experiment table-from-store entry points all pull through
-    here.  ``cluster_name`` selects one experiment family — the sweep
-    builders stamp their cluster spec (``storage-tiers``, ``availability``,
-    ``elastic-shrink``), so a shared store can serve every family's tables.
-    Rows appear oldest first (the order the sweep registered them).
+    The shared read-side selector of ``/api/results`` and
+    :meth:`~repro.experiments.declaration.Experiment.from_store`.
+    ``cluster_name`` selects one experiment by the stamp its grid builder
+    gives every config (``storage-tiers``, ``availability``,
+    ``elastic-shrink``).  Rows appear oldest first, in the order the sweep
+    registered them.
     """
     out: List[StoredResult] = []
     for row in store.rows(status=status):
@@ -215,11 +215,6 @@ def stored_results(
         if limit is not None and len(out) >= limit:
             break
     return out
-
-
-def store_to_csv(store: CampaignStore, path: str) -> int:
-    """Dump every ``done`` row of a store to CSV (see :func:`results_to_csv`)."""
-    return results_to_csv(stored_results(store), path)
 
 
 def summary_table(store: CampaignStore) -> Table:

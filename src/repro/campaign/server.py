@@ -18,9 +18,11 @@ Endpoints
     Stored results, filterable by ``status``/``workload``/``method``/
     ``n_ranks``/``seed``/``limit``; JSON by default, CSV via ``?format=csv``
     or ``Accept: text/csv``.
-``GET /api/tables/{overhead,survivability,availability,elastic}``
-    The experiment tables recomputed server-side from stored payloads
-    (value-equal to the CLI sweeps' output for the same store).
+``GET /api/tables/<name>``
+    A table of a declared experiment (:data:`EXPERIMENTS`), rebuilt by its
+    ``from_store`` from the stored payloads carrying its stamp (value-equal
+    to the CLI sweep's table for the same store; 400 naming the differing
+    fields when two availability cells collide on one row).
 ``GET /api/bench``
     The ``benchmarks`` side table (events/sec history), filterable by
     ``name``, newest-last.
@@ -73,12 +75,19 @@ from repro.campaign.metrics_export import (
     render_exposition,
 )
 from repro.campaign.store import STATUSES, CampaignStore, scenario_key
+from repro.experiments.availability import AVAILABILITY
+from repro.experiments.elastic import ELASTIC_SHRINK
+from repro.experiments.storage_tiers import STORAGE_TIERS
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["ObservatoryApp", "ObservatoryServer", "Response", "serve", "main"]
+__all__ = ["EXPERIMENTS", "ObservatoryApp", "ObservatoryServer", "Response",
+           "serve", "main"]
 
-#: the experiment-table endpoints and the store-derived table each serves
-TABLE_NAMES = ("overhead", "survivability", "availability", "elastic")
+#: the store-served experiments; ``/api/tables/<name>`` serves the names
+#: each one declares
+EXPERIMENTS = (STORAGE_TIERS, AVAILABILITY, ELASTIC_SHRINK)
+_TABLES = {name: experiment for experiment in EXPERIMENTS
+           for name in experiment.served}
 
 
 @dataclass
@@ -164,22 +173,10 @@ class ObservatoryApp:
         })
 
     def _table_payload(self, name: str) -> bytes:
-        if name in ("overhead", "survivability"):
-            from repro.experiments.storage_tiers import tables_from_store
-
-            out = tables_from_store(self.store)
-            table, n = out[name], len(out["results"])
-        elif name == "availability":
-            from repro.experiments.availability import availability_tables_from_store
-
-            out = availability_tables_from_store(self.store)
-            table, n = out["table"], len(out["results"])
-        else:  # "elastic" — the router rejects anything else before this
-            from repro.experiments.elastic import elastic_tables_from_store
-
-            out = elastic_tables_from_store(self.store)
-            table, n = out["repartition"], len(out["results"])
-        return _json_body({"table": table_to_dict(table), "source_results": n})
+        experiment = _TABLES[name]
+        out = experiment.from_store(self.store)
+        return _json_body({"table": table_to_dict(out[experiment.served[name]]),
+                           "source_results": len(out["results"])})
 
     def _bench_payload(self, query: Dict[str, List[str]]) -> bytes:
         names = query.get("name")
@@ -235,10 +232,10 @@ class ObservatoryApp:
                 if_none_match)
         if path.startswith("/api/tables/"):
             name = path[len("/api/tables/"):]
-            if name not in TABLE_NAMES:
+            if name not in _TABLES:
                 return Response(404, _json_body(
                     {"error": f"unknown table {name!r}",
-                     "tables": list(TABLE_NAMES)}), "application/json")
+                     "tables": list(_TABLES)}), "application/json")
             return self._cached(f"api:tables:{name}",
                                 lambda: self._table_payload(name),
                                 "application/json", if_none_match)
@@ -250,7 +247,7 @@ class ObservatoryApp:
             {"error": f"no route for {path!r}",
              "routes": ["/", "/healthz", "/api/progress", "/api/results",
                         "/api/bench", "/metrics"]
-                       + [f"/api/tables/{n}" for n in TABLE_NAMES]}),
+                       + [f"/api/tables/{n}" for n in _TABLES]}),
             "application/json")
 
     def _cached(self, key: str, compute, content_type: str,
@@ -357,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     host, port = server.server_address[:2]
     print(f"campaign observatory for {args.db} on http://{host}:{port}/ "
           f"(endpoints: /api/progress /api/results /api/tables/"
-          f"{{{','.join(TABLE_NAMES)}}} /api/bench /metrics /healthz)")
+          f"{{{','.join(_TABLES)}}} /api/bench /metrics /healthz)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -591,13 +591,14 @@ class CampaignStore:
         return self._row(raw) if raw is not None else None
 
     def rows(self, status: Optional[str] = None) -> List[ExperimentRow]:
-        """All experiments, optionally filtered by status, oldest first."""
+        """All experiments, optionally filtered by status, oldest first
+        (the rows of one :meth:`add_many` in registration order)."""
         query = f"SELECT {','.join(_COLUMNS)} FROM experiments"
         params: Tuple = ()
         if status is not None:
             query += " WHERE status = ?"
             params = (status,)
-        query += " ORDER BY created_at, key"
+        query += " ORDER BY created_at, rowid"
         return [self._row(raw) for raw in self._conn.execute(query, params)]
 
     def counts(self, keys: Optional[Sequence[str]] = None) -> Dict[str, int]:

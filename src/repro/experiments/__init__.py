@@ -18,7 +18,16 @@
 * :mod:`repro.experiments.elastic` — elastic-restart sweeps: the equal-total-
   work conservation table across rank counts (shrink and expand partitions of
   one domain) and the zero-spare shrink-restart grid with its repartition
-  table.
+  table,
+* :mod:`repro.experiments.declaration` — :class:`Experiment`, the one
+  declaration of a store-served sweep: a stamp, a grid builder and a pure
+  ``tables(results)``, with one ``run(**grid)`` through the default campaign
+  and one ``from_store(store)``.  The availability (``AVAILABILITY``),
+  storage-tier (``STORAGE_TIERS``) and shrink-restart (``ELASTIC_SHRINK``)
+  grids are declared this way, and the observatory serves their tables.
+
+``import repro`` loads ``config``, ``runner`` and ``figures``; the other
+modules load on demand.
 """
 
 from repro.experiments.config import ScenarioConfig, QUICK, FULL, ExperimentProfile

@@ -19,24 +19,28 @@ cell (mean ± spread over the seed axis, via
   :func:`repro.analysis.advisor.suggest_checkpoint_interval` in place of its
   analytic guesses (:func:`calibrated_interval_table`).
 
-Everything runs through the default campaign: cells are cached, sweeps are
-resumable, and ``priority`` lets an availability grid jump the queue of a
-shared store.
+:data:`AVAILABILITY` declares the grid once: ``AVAILABILITY.run(**grid)``
+runs it through the default campaign (cached, resumable), and
+``AVAILABILITY.from_store(store)`` rebuilds the same table from the stored
+rows stamped ``availability``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import dataclasses
 
 from repro.analysis.advisor import measured_costs, suggest_checkpoint_interval
-from repro.analysis.reporting import Series, Table
+from repro.analysis.reporting import Table
+from repro.campaign.executor import get_default_campaign
 from repro.campaign.export import average_over_seeds
+from repro.campaign.store import config_to_dict
 from repro.ckpt.scheduler import periodic
 from repro.cluster.topology import GIDEON_300
 from repro.experiments.config import FailureSpec, ScenarioConfig
+from repro.experiments.declaration import Experiment
 
 
 #: workload knobs the availability defaults are calibrated for: enough
@@ -149,42 +153,44 @@ def availability_configs(
     return configs
 
 
-def _first_seen(values) -> List:
-    out: List = []
-    for value in values:
-        if value not in out:
-            out.append(value)
-    return out
+def _differing_fields(a: ScenarioConfig, b: ScenarioConfig) -> List[str]:
+    """Dotted config fields two seed-averaged cells disagree on."""
+    def flat(value, prefix=""):
+        if isinstance(value, dict):
+            return {name: item for key, sub in value.items()
+                    for name, item in flat(sub, f"{prefix}{key}.").items()}
+        return {prefix[:-1]: value}
+
+    fa, fb = flat(config_to_dict(a)), flat(config_to_dict(b))
+    return sorted(name for name in fa.keys() | fb.keys()
+                  if fa.get(name) != fb.get(name)
+                  and name not in ("seed", "failure.seed"))
 
 
-def availability_summary(
-    averaged,
-    methods: Optional[Sequence[str]] = None,
-    mtbf_per_node_s: Optional[Sequence[float]] = None,
-    spare_counts: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """Aggregate seed-averaged availability results into cells/series/table.
+def availability_summary(results) -> Dict[str, object]:
+    """Seed-average availability results into per-cell measurements and a table.
 
-    A pure aggregation over stored payloads — the observatory serves it from
-    a campaign store without touching the simulator.  Grid axes fix the
-    row order; when omitted they derive in first-seen result order, which
-    for a store filled by :func:`availability_experiment` reproduces the
-    sweep's own ordering (value-equal tables).  Cells missing from the store
-    (a partially-drained grid) are skipped rather than raising.
+    A pure aggregation over live or stored payloads — the observatory serves
+    it from a campaign store without touching the simulator.  Rows follow
+    the first-seen order of method, spare count and MTBF, which over one
+    grid's results is the grid's own order.  Cells missing from the store (a
+    partially-drained grid) are skipped.  Two different cells landing on one
+    (method, MTBF, spares) row — say a store holding two grids that differ
+    only in ``max_failures`` — raise :class:`ValueError` naming the fields
+    they differ in.
     """
-    averaged = list(averaged)
-    by_cell = {}
+    averaged = average_over_seeds(results)
+    by_row = {}
     for result in averaged:
         cfg = result.config
-        by_cell[(cfg.method, cfg.failure.mtbf_per_node_s,
-                 cfg.failure.n_spares)] = result
-    if methods is None:
-        methods = _first_seen(r.config.method for r in averaged)
-    if mtbf_per_node_s is None:
-        mtbf_per_node_s = _first_seen(
-            r.config.failure.mtbf_per_node_s for r in averaged)
-    if spare_counts is None:
-        spare_counts = _first_seen(r.config.failure.n_spares for r in averaged)
+        row = (cfg.method, cfg.failure.mtbf_per_node_s, cfg.failure.n_spares)
+        if row in by_row:
+            fields = _differing_fields(by_row[row].config, cfg)
+            raise ValueError(
+                f"two availability cells share the row (method {row[0]}, node "
+                f"MTBF {row[1]:g}s, {row[2]} spares) but differ in "
+                f"{', '.join(fields)}")
+        by_row[row] = result
 
     if averaged:
         first = averaged[0]
@@ -197,21 +203,16 @@ def availability_summary(
     else:
         context = "no stored results"
     cells: List[AvailabilityCell] = []
-    makespan_series: Dict[Tuple[str, int], Series] = {}
-    availability_series: Dict[Tuple[str, int], Series] = {}
     table = Table(
         title=f"Availability under sustained failures ({context})",
         columns=["method", "node MTBF (s)", "spares", "makespan (s)", "± (s)",
                  "availability", "failures", "loss (s)", "recovery rank-s/fail",
                  "migrated", "rebooted", "refilled", "aborted", "peak conc."],
     )
-    for method in methods:
-        for spares in spare_counts:
-            label = f"{method}" + (f" +{spares} spares" if spares else "")
-            makespan_series[(method, spares)] = Series(name=f"{label} makespan (s)")
-            availability_series[(method, spares)] = Series(name=f"{label} availability")
-            for mtbf in mtbf_per_node_s:
-                result = by_cell.get((method, mtbf, spares))
+    for method in dict.fromkeys(m for m, _, _ in by_row):
+        for spares in dict.fromkeys(s for _, _, s in by_row):
+            for mtbf in dict.fromkeys(t for _, t, _ in by_row):
+                result = by_row.get((method, mtbf, spares))
                 if result is None:
                     continue
                 m = result.metrics
@@ -237,9 +238,6 @@ def availability_summary(
                     spare_refills=result.spare_refills,
                 )
                 cells.append(cell)
-                rate = 1.0 / mtbf
-                makespan_series[(method, spares)].append(rate, cell.makespan_s)
-                availability_series[(method, spares)].append(rate, cell.availability)
                 table.add_row(
                     method, mtbf, spares,
                     round(cell.makespan_s, 2), round(cell.makespan_std_s, 2),
@@ -250,66 +248,14 @@ def availability_summary(
                     round(cell.spare_refills, 1),
                     round(cell.aborted_recoveries, 1),
                     round(cell.max_concurrent_recoveries, 1))
-    return {
-        "cells": cells,
-        "makespan_series": list(makespan_series.values()),
-        "availability_series": list(availability_series.values()),
-        "table": table,
-        "results": averaged,
-    }
+    return {"cells": cells, "table": table, "results": averaged}
 
 
-def availability_tables_from_store(store) -> Dict[str, object]:
-    """Availability cells/table recomputed from a store — no simulation.
-
-    Selects the ``done`` rows the availability sweeps stamped (cluster name
-    ``"availability"``), collapses the seed axis, and aggregates exactly as
-    :func:`availability_experiment` would.  The observatory server's
-    ``/api/tables/availability`` backend.
-    """
-    from repro.campaign.export import average_over_seeds, stored_results
-
-    results = stored_results(store, cluster_name="availability")
-    return availability_summary(average_over_seeds(results))
-
-
-def availability_experiment(
-    workload: str = "halo2d",
-    n_ranks: int = 16,
-    methods: Sequence[str] = ("NORM", "GP", "GP1"),
-    mtbf_per_node_s: Sequence[float] = (240.0, 100.0, 50.0),
-    spare_counts: Sequence[int] = (0, 2),
-    seeds: Sequence[int] = (0, 1),
-    interval_s: float = 2.0,
-    detection_delay_s: float = 0.25,
-    reboot_delay_s: float = 5.0,
-    max_failures: int = 6,
-    max_group_size: Optional[int] = 8,
-    workload_options: Optional[Dict[str, object]] = None,
-    priority: int = 0,
-) -> Dict[str, object]:
-    """Run (or fetch) the availability grid and aggregate it per cell.
-
-    Returns ``cells`` (one :class:`AvailabilityCell` per grid point,
-    seed-averaged), ``makespan_series`` / ``availability_series`` (one line
-    per (method, spares) combination over the failure-rate axis — the "GP
-    degrades gracefully, NORM collapses" figure), a formatted ``table``, and
-    the raw seed-averaged ``results``.
-    """
-    from repro.campaign.executor import get_default_campaign
-
-    configs = availability_configs(
-        workload=workload, n_ranks=n_ranks, methods=methods,
-        mtbf_per_node_s=mtbf_per_node_s, spare_counts=spare_counts,
-        seeds=seeds, interval_s=interval_s,
-        detection_delay_s=detection_delay_s, reboot_delay_s=reboot_delay_s,
-        max_failures=max_failures, max_group_size=max_group_size,
-        workload_options=workload_options)
-    results = get_default_campaign().run(configs, priority=priority)
-    averaged = average_over_seeds(results)
-    return availability_summary(averaged, methods=methods,
-                                mtbf_per_node_s=mtbf_per_node_s,
-                                spare_counts=spare_counts)
+#: the availability grid: ``cells`` (one :class:`AvailabilityCell` per grid
+#: point, seed-averaged), the ``table`` served as ``/api/tables/availability``
+#: and the seed-averaged ``results``
+AVAILABILITY = Experiment("availability", availability_configs,
+                          availability_summary, served={"availability": "table"})
 
 
 def calibrated_interval_table(
@@ -374,7 +320,6 @@ def concurrency_ablation(
     interval_s: float = 2.0,
     max_failures: int = 6,
     reboot_delay_s: float = 5.0,
-    priority: int = 0,
 ) -> Dict[str, object]:
     """Concurrent vs serialised recovery scheduling on the same failure stream.
 
@@ -383,18 +328,20 @@ def concurrency_ablation(
     previous recovery out (``serialize_recoveries=True``, the pre-manager
     behaviour) — and reports both makespans.  Concurrency can only help:
     the serialised schedule is one of the schedules the manager may pick.
+    Its rows carry their own stamp, ``availability-ablation``: both cells sit
+    on one availability row, so the availability table must not see them.
     """
-    from repro.campaign.executor import get_default_campaign
-
-    out = {}
-    for label, serialize in (("concurrent", False), ("serialized", True)):
-        configs = availability_configs(
+    configs = [
+        dataclasses.replace(config, cluster=dataclasses.replace(
+            config.cluster, name="availability-ablation"))
+        for serialize in (False, True)
+        for config in availability_configs(
             workload=workload, n_ranks=n_ranks, methods=(method,),
             mtbf_per_node_s=(mtbf_per_node_s,), spare_counts=(n_spares,),
             seeds=seeds, interval_s=interval_s, max_failures=max_failures,
-            reboot_delay_s=reboot_delay_s, serialize_recoveries=serialize)
-        results = get_default_campaign().run(configs, priority=priority)
-        out[label] = average_over_seeds(results)[0]
+            reboot_delay_s=reboot_delay_s, serialize_recoveries=serialize)]
+    out = dict(zip(("concurrent", "serialized"),
+                   average_over_seeds(get_default_campaign().run(configs))))
     table = Table(
         title=f"Concurrent vs serialised recovery ({workload}, {n_ranks} ranks, "
               f"{method}, node MTBF {mtbf_per_node_s:g}s)",

@@ -21,8 +21,11 @@ co-located units deadlock-free.  Two measurements close the loop:
   measured shrink per cell: ranks before → after, units migrated, image bytes
   shipped, and end-to-end survival.
 
-Both run at QUICK-ish scale; the shrink grid goes through the campaign
-engine, so re-runs are served from the store.
+Both run at QUICK-ish scale.  :data:`ELASTIC_SHRINK` declares the shrink
+grid once: ``ELASTIC_SHRINK.run(**grid)`` runs it through the campaign engine,
+so re-runs are served from the store, and ``ELASTIC_SHRINK.from_store(store)``
+rebuilds the repartition table from the stored rows stamped
+``elastic-shrink``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.analysis.reporting import Table
 from repro.ckpt.scheduler import periodic
 from repro.cluster.topology import GIDEON_300
 from repro.experiments.config import FailureSpec, ScenarioConfig
+from repro.experiments.declaration import Experiment
 from repro.experiments.runner import build_workload
 from repro.mpi.ops import Compute, Isend, Send, SendRecv
 from repro.workloads.domain import Partition
@@ -175,46 +179,13 @@ def repartition_table(results) -> Table:
     return table
 
 
-def elastic_tables_from_store(store) -> Dict[str, object]:
-    """Elastic-shrink repartition table recomputed from a store — no simulation.
-
-    Selects the ``done`` rows the shrink sweeps stamped (cluster name
-    ``"elastic-shrink"``) and rebuilds :func:`repartition_table` from the
-    stored payloads.  The observatory server's ``/api/tables/elastic``
-    backend; value-equal to :func:`elastic_experiment`'s table for the same
-    store.  (The conservation table is simulation-free but not store-derived,
-    so it stays with the experiment.)
-    """
-    from repro.campaign.export import stored_results
-
-    results = stored_results(store, cluster_name="elastic-shrink")
+def elastic_tables(results) -> Dict[str, object]:
+    """One shrink grid's ``repartition`` table and its ``results``."""
     return {"results": results, "repartition": repartition_table(results)}
 
 
-def elastic_experiment(
-    workloads: Sequence[str] = ("halo2d", "hpl"),
-    methods: Sequence[str] = ("NORM", "GP4"),
-    n_ranks: int = 8,
-    seeds: Sequence[int] = (7,),
-    rank_counts: Sequence[int] = (4, 6, 8, 12),
-    priority: int = 0,
-) -> Dict[str, object]:
-    """Run (or fetch) the shrink grid and build both elastic tables.
-
-    Returns the raw ``results``, the ``repartition_table``, the (simulation-
-    free) ``conservation_table``, and ``by_cell`` for programmatic access.
-    """
-    from repro.campaign.executor import get_default_campaign
-
-    configs = elastic_shrink_configs(workloads=workloads, methods=methods,
-                                     n_ranks=n_ranks, seeds=seeds)
-    results = get_default_campaign().run(configs, priority=priority)
-    by_cell = {(r.config.workload, r.config.method, r.config.seed): r
-               for r in results}
-    return {
-        "results": results,
-        "by_cell": by_cell,
-        "repartition_table": repartition_table(results),
-        "conservation_table": work_conservation_table(
-            workloads=workloads, n_units=n_ranks, rank_counts=rank_counts),
-    }
+#: the shrink-restart grid, served as ``/api/tables/elastic``.  (The
+#: conservation table is simulation-free but not store-derived, so it is
+#: not part of the declaration.)
+ELASTIC_SHRINK = Experiment("elastic-shrink", elastic_shrink_configs,
+                            elastic_tables, served={"elastic": "repartition"})

@@ -20,6 +20,10 @@ partner replicas) are reported as such, not crashed: the run is declared
 failed the moment no surviving copy of a required image exists, and its
 payload records ``survived = 0``.
 
+:data:`STORAGE_TIERS` declares the grid once: ``STORAGE_TIERS.run(**grid)``
+runs it through the default campaign, and ``STORAGE_TIERS.from_store(store)``
+rebuilds the same tables from the stored rows stamped ``storage-tiers``.
+
 :func:`tier_cost_calibration` closes the loop back to the advisor: it
 extracts measured per-tier checkpoint costs from the sweep and feeds
 :func:`repro.analysis.advisor.suggest_multilevel_intervals`, yielding the
@@ -37,6 +41,7 @@ from repro.analysis.reporting import Table
 from repro.ckpt.scheduler import CheckpointSchedule
 from repro.cluster.topology import GIDEON_300
 from repro.experiments.config import FailureSpec, ScenarioConfig
+from repro.experiments.declaration import Experiment
 from repro.storage.policy import (
     PARTNER_SAME_SWITCH,
     StoragePolicy,
@@ -174,37 +179,24 @@ def storage_tier_configs(
     return configs
 
 
-def _first_seen(values) -> List:
-    out: List = []
-    for value in values:
-        if value not in out:
-            out.append(value)
-    return out
+def _by_cell(results) -> Dict[Tuple[str, str, str, int], object]:
+    return {(r.config.method, policy_label(r.config), failure_label(r.config),
+             r.config.seed): r for r in results}
 
 
-def overhead_table(results,
-                   methods: Optional[Sequence[str]] = None,
-                   policies: Optional[Sequence[str]] = None) -> Table:
+def overhead_table(results) -> Table:
     """Steady-state overhead per (method, policy) from failure-free cells.
 
     A pure aggregation over (live or stored) results — nothing is
     re-simulated, so the observatory can serve it straight from a campaign
-    store.  ``methods``/``policies`` fix the row order and the per-method
-    baseline (the first policy listed); when omitted they derive in
-    first-seen result order, which for a store filled by
-    :func:`storage_tier_experiment` reproduces the sweep's own ordering —
-    the served table is value-equal to the CLI's.
+    store.  Rows follow the first-seen order of method and policy, which
+    over one grid's results is the grid's own order; each method's baseline
+    is its first policy.
     """
     results = list(results)
-    by_cell: Dict[Tuple[str, str, str, int], object] = {}
-    for result in results:
-        cfg = result.config
-        by_cell[(cfg.method, policy_label(cfg), failure_label(cfg),
-                 cfg.seed)] = result
-    if methods is None:
-        methods = _first_seen(r.config.method for r in results)
-    if policies is None:
-        policies = _first_seen(policy_label(r.config) for r in results)
+    by_cell = _by_cell(results)
+    methods = dict.fromkeys(r.config.method for r in results)
+    policies = dict.fromkeys(policy_label(r.config) for r in results)
 
     if results:
         first = results[0].config
@@ -284,70 +276,24 @@ def survivability_matrix(results) -> Table:
     return table
 
 
-def storage_tier_experiment(
-    workload: str = "halo2d",
-    n_ranks: int = 16,
-    methods: Sequence[str] = ("NORM", "GP", "GP1"),
-    policies: Sequence[str] = ("L1", "L1+L2", "L1+L2+L3"),
-    failures: Sequence[str] = FAILURE_KINDS,
-    seeds: Sequence[int] = (0,),
-    checkpoint_times: Sequence[float] = (2.0, 5.0, 8.0),
-    failure_at_s: float = 12.0,
-    nodes_per_switch: int = 4,
-    n_spares: int = 2,
-    reboot_delay_s: float = 5.0,
-    priority: int = 0,
-) -> Dict[str, object]:
-    """Run (or fetch) the storage-tier grid and aggregate it.
+def storage_tier_tables(results) -> Dict[str, object]:
+    """One grid's ``overhead`` table and ``survivability`` matrix.
 
-    Returns the raw ``results``, an ``overhead_table`` (failure-free makespan
-    and per-tier bytes per (method, policy) — the measured steady-state cost
-    of each additional level), a ``survivability`` matrix table, and
-    ``by_cell`` for programmatic access.
+    Also returns the ``results`` and ``by_cell``, keyed (method, policy,
+    failure kind, seed), for programmatic access.
     """
-    from repro.campaign.executor import get_default_campaign
-
-    configs = storage_tier_configs(
-        workload=workload, n_ranks=n_ranks, methods=methods,
-        policies=policies, failures=failures, seeds=seeds,
-        checkpoint_times=checkpoint_times, failure_at_s=failure_at_s,
-        nodes_per_switch=nodes_per_switch, n_spares=n_spares,
-        reboot_delay_s=reboot_delay_s)
-    results = get_default_campaign().run(configs, priority=priority)
-
-    by_cell: Dict[Tuple[str, str, str, int], object] = {}
-    for result in results:
-        cfg = result.config
-        by_cell[(cfg.method, policy_label(cfg), failure_label(cfg),
-                 cfg.seed)] = result
-
     return {
         "results": results,
-        "by_cell": by_cell,
-        "overhead_table": overhead_table(results, methods=methods,
-                                         policies=policies),
-        "survivability": survivability_matrix(results),
-    }
-
-
-def tables_from_store(store) -> Dict[str, object]:
-    """Storage-tier tables recomputed from a store's payloads — no simulation.
-
-    Selects the ``done`` rows the storage-tier sweeps stamped (cluster name
-    ``"storage-tiers"``) and rebuilds the overhead table and survivability
-    matrix purely from the stored metrics.  This is the observatory server's
-    ``/api/tables/{overhead,survivability}`` backend: the tables are
-    value-equal to what :func:`storage_tier_experiment` reports for the same
-    store, but a cold read costs one aggregation pass instead of a sweep.
-    """
-    from repro.campaign.export import stored_results
-
-    results = stored_results(store, cluster_name="storage-tiers")
-    return {
-        "results": results,
+        "by_cell": _by_cell(results),
         "overhead": overhead_table(results),
         "survivability": survivability_matrix(results),
     }
+
+
+#: the storage-tier grid, served as ``/api/tables/{overhead,survivability}``
+STORAGE_TIERS = Experiment(
+    "storage-tiers", storage_tier_configs, storage_tier_tables,
+    served={"overhead": "overhead", "survivability": "survivability"})
 
 
 def tier_cost_calibration(

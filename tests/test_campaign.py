@@ -148,6 +148,15 @@ def test_store_round_trip_and_status_flow():
     assert [r.key for r in store.rows(status="done")] == [key]
 
 
+def test_rows_read_back_in_registration_order():
+    # one add_many shares a timestamp; its rows must not come back in key order
+    store = CampaignStore(":memory:")
+    keys = store.add_many([ring_config(seed=seed) for seed in range(12)])
+    assert [row.key for row in store.rows()] == keys
+    later = store.add(ring_config(seed=99))
+    assert [row.key for row in store.rows()] == keys + [later]
+
+
 def test_store_failure_and_reset():
     store = CampaignStore(":memory:")
     k1 = store.add(ring_config(seed=1))

@@ -12,12 +12,14 @@ import urllib.request
 
 import pytest
 
+from repro.analysis.reporting import table_to_dict
 from repro.campaign import (
     CampaignStore,
     GenerationCache,
     campaign_progress,
     drain_store,
 )
+from repro.campaign.executor import get_default_campaign, reset_default_campaign
 from repro.campaign.metrics_export import (
     MetricFamily,
     campaign_families,
@@ -25,8 +27,9 @@ from repro.campaign.metrics_export import (
     registry_families,
     render_exposition,
 )
-from repro.campaign.server import ObservatoryApp, serve
+from repro.campaign.server import EXPERIMENTS, ObservatoryApp, serve
 from repro.ckpt.scheduler import one_shot
+from repro.experiments.availability import AVAILABILITY, concurrency_ablation
 from repro.experiments.config import ScenarioConfig
 from repro.obs.metrics import MetricsRegistry
 
@@ -420,44 +423,88 @@ class TestObservatoryService:
 
 
 # --------------------------------------------- served tables == CLI tables
-class TestServedTablesValueEqual:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        from repro.campaign.executor import (
-            get_default_campaign,
-            reset_default_campaign,
-        )
-        from repro.experiments.storage_tiers import storage_tier_experiment
+#: a small grid per declared experiment, keyed by its stamp
+SMALL_GRIDS = {
+    "storage-tiers": dict(methods=("GP1",), policies=("L1", "L1+L2"),
+                          failures=("none", "node-crash"), seeds=(0,)),
+    "availability": dict(methods=("NORM", "GP1"), mtbf_per_node_s=(100.0, 50.0),
+                         spare_counts=(0,), seeds=(0,)),
+    "elastic-shrink": dict(workloads=("halo2d",), methods=("GP4",)),
+}
 
+
+class TestServedTablesValueEqual:
+    @pytest.fixture(scope="class", params=EXPERIMENTS, ids=lambda e: e.stamp)
+    def sweep(self, request):
+        experiment = request.param
         reset_default_campaign()
-        out = storage_tier_experiment(
-            methods=("GP1",), policies=("L1", "L1+L2"),
-            failures=("none", "node-crash"), seeds=(0,))
-        store = get_default_campaign().store
-        yield out, store
+        out = experiment.run(**SMALL_GRIDS[experiment.stamp])
+        yield experiment, out, get_default_campaign().store
         reset_default_campaign()
 
     def test_from_store_tables_match_experiment_tables(self, sweep):
-        from repro.experiments.storage_tiers import tables_from_store
-
-        out, store = sweep
-        served = tables_from_store(store)
-        assert served["overhead"].title == out["overhead_table"].title
-        assert served["overhead"].columns == out["overhead_table"].columns
-        assert served["overhead"].rows == out["overhead_table"].rows
-        assert served["survivability"].rows == out["survivability"].rows
+        experiment, out, store = sweep
+        served = experiment.from_store(store)
+        assert len(served["results"]) == len(out["results"])
+        for key in experiment.served.values():
+            assert table_to_dict(served[key]) == table_to_dict(out[key])
 
     def test_http_served_table_matches_experiment_table(self, sweep):
-        from repro.analysis.reporting import table_to_dict
-
-        out, store = sweep
+        experiment, out, store = sweep
         app = ObservatoryApp(store)
-        for name, expected in (("overhead", out["overhead_table"]),
-                               ("survivability", out["survivability"])):
+        for name, key in experiment.served.items():
             response = app.handle(f"/api/tables/{name}", {})
             assert response.status == 200
             payload = json.loads(response.body)
-            assert payload["table"] == table_to_dict(expected)
+            assert payload["table"] == table_to_dict(out[key])
+            assert payload["source_results"] == len(out["results"])
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS, ids=lambda e: e.stamp)
+def test_every_config_carries_the_stamp(experiment):
+    # from_store selects rows by stamp: an unstamped config would never be served
+    for grid in ({}, SMALL_GRIDS[experiment.stamp]):
+        configs = experiment.configs(**grid)
+        assert configs
+        assert {c.cluster.name for c in configs} == {experiment.stamp}
+
+
+def test_unknown_table_lists_the_declared_names():
+    declared = [name for e in EXPERIMENTS for name in e.served]
+    assert declared == ["overhead", "survivability", "availability", "elastic"]
+    response = ObservatoryApp(CampaignStore()).handle("/api/tables/nope", {})
+    assert response.status == 404
+    assert json.loads(response.body)["tables"] == declared
+
+
+class TestAvailabilityFromStore:
+    @pytest.fixture
+    def store(self):
+        reset_default_campaign()
+        yield get_default_campaign().store
+        reset_default_campaign()
+
+    def test_grid_and_ablation_store_serves_the_grid(self, store):
+        # the ablation's two cells sit on the grid's (GP4, 50 s, 0) row
+        out = AVAILABILITY.run(methods=("NORM", "GP4"),
+                               mtbf_per_node_s=(100.0, 50.0),
+                               spare_counts=(0,), seeds=(0,))
+        concurrency_ablation(seeds=(0,))
+        served = AVAILABILITY.from_store(store)
+        assert table_to_dict(served["table"]) == table_to_dict(out["table"])
+        response = ObservatoryApp(store).handle("/api/tables/availability", {})
+        assert json.loads(response.body)["table"] == table_to_dict(out["table"])
+
+    def test_grids_differing_in_max_failures_raise(self, store):
+        grid = dict(methods=("GP1",), mtbf_per_node_s=(50.0,),
+                    spare_counts=(0,), seeds=(0,))
+        AVAILABILITY.run(max_failures=2, **grid)
+        AVAILABILITY.run(max_failures=3, **grid)
+        with pytest.raises(ValueError, match=r"failure\.max_failures"):
+            AVAILABILITY.from_store(store)
+        response = ObservatoryApp(store).handle("/api/tables/availability", {})
+        assert response.status == 400
+        assert "failure.max_failures" in json.loads(response.body)["error"]
 
 
 # --------------------------------------------- read-while-write (satellite 3)

@@ -513,10 +513,10 @@ class TestAvailabilityExperiment:
     @pytest.fixture(scope="class")
     def sweep(self):
         from repro.campaign.executor import reset_default_campaign
-        from repro.experiments.availability import availability_experiment
+        from repro.experiments.availability import AVAILABILITY
 
         reset_default_campaign()
-        out = availability_experiment(
+        out = AVAILABILITY.run(
             mtbf_per_node_s=(240.0, 100.0, 50.0), spare_counts=(0, 2),
             seeds=(0, 1))
         reset_default_campaign()
@@ -566,3 +566,18 @@ class TestAvailabilityExperiment:
             assert entry["costs"].recovery_cost_s > 0
             assert (entry["calibrated"].interval_s
                     <= entry["analytic"].interval_s), method
+
+    def test_repeated_grid_value_runs_and_counts_once(self):
+        from repro.analysis.reporting import table_to_dict
+        from repro.campaign.executor import reset_default_campaign
+        from repro.experiments.availability import AVAILABILITY
+
+        grid = dict(methods=("GP1",), mtbf_per_node_s=(50.0,), seeds=(0,))
+        reset_default_campaign()
+        try:
+            once = AVAILABILITY.run(spare_counts=(0,), **grid)
+            twice = AVAILABILITY.run(spare_counts=(0, 0), **grid)
+        finally:
+            reset_default_campaign()
+        assert table_to_dict(twice["table"]) == table_to_dict(once["table"])
+        assert [cell.n_seeds for cell in twice["cells"]] == [1]

@@ -29,9 +29,9 @@ from repro.experiments.parity import parity_metrics, quick_parity_configs, scena
 from repro.experiments.runner import run_scenario
 from repro.experiments.storage_tiers import (
     DEFAULT_WORKLOAD_OPTIONS,
+    STORAGE_TIERS,
     policy_label,
     storage_tier_configs,
-    storage_tier_experiment,
     survivability_matrix,
     tier_cost_calibration,
 )
@@ -419,7 +419,7 @@ class TestStorageTierExperiment:
         from repro.campaign.executor import reset_default_campaign
 
         reset_default_campaign()
-        out = storage_tier_experiment(
+        out = STORAGE_TIERS.run(
             methods=("NORM", "GP", "GP1"),
             policies=("L1", "L1+L2", "L1+L2+L3"),
             failures=("none", "switch-outage"),
