@@ -1,7 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table/figure of the paper at the FULL profile
-(the paper's process counts) and prints the resulting rows, so running
+(the paper's process counts) through its declaration,
+``repro.experiments.figures.FIGURES[name].run(profile=...)``, and prints the
+resulting rows, so running
 
     pytest benchmarks/ --benchmark-only
 
@@ -9,7 +11,7 @@ produces the complete reproduction report.  Each experiment is executed once
 per benchmark (``rounds=1``) because a single data point already involves
 dozens of simulated application runs.
 
-The figure sweeps run through the :mod:`repro.campaign` engine against a
+The figures run through the :mod:`repro.campaign` engine against a
 persistent store (``benchmarks/.campaign.sqlite`` by default), so:
 
 * a cold pass can use several worker processes (``REPRO_BENCH_WORKERS``,
@@ -44,7 +46,7 @@ def run_experiment(benchmark, experiment: Callable[[], Dict[str, object]]) -> Di
 
 @pytest.fixture(scope="session", autouse=True)
 def bench_campaign():
-    """Install the persistent benchmark campaign behind the figure sweeps."""
+    """Install the persistent benchmark campaign behind the figure declarations."""
     from repro.campaign import Campaign, CampaignStore, set_default_campaign
 
     path = os.environ.get(
@@ -58,14 +60,6 @@ def bench_campaign():
     print(f"\n[campaign] {path}: {counts}")
     set_default_campaign(None)
     campaign.store.close()
-
-
-@pytest.fixture(scope="session")
-def full_profile():
-    """The paper-scale experiment profile."""
-    from repro.experiments.config import FULL
-
-    return FULL
 
 
 def bench_profile():

@@ -15,6 +15,6 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-1")
 def test_fig01_coordination_cost(benchmark):
     """Reproduce Figure 1 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure1(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure1"].run(profile=FULL))
     series = result['series'][0]
     assert series.y[-1] > series.y[0], 'coordination cost must grow with scale'

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-2")
 def test_fig02_vcl_blocking(benchmark):
     """Reproduce Figure 2 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure2(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure2"].run(profile=FULL))
     gaps = result['series'][0]
     # substantial blocking must be visible at both scales
     assert all(g > 0.2 for g in gaps.y)

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-3")
 def test_fig03_protocol_comparison(benchmark):
     """Reproduce Figure 3 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure3(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure3"].run(profile=FULL))
     table = result['table']
     logged = dict(zip(table.column('scheme'), table.column('logged bytes fraction')))
     assert logged['coordinated (NORM)'] == 0.0

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-5")
 def test_fig05_execution_time(benchmark):
     """Reproduce Figure 5 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure5(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure5"].run(profile=FULL))
     gp = next(s for s in result['series'] if s.name == 'GP')
     norm = next(s for s in result['series'] if s.name == 'NORM')
     assert gp.y[-1] <= norm.y[-1] * 1.05

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-6")
 def test_fig06_ckpt_restart_time(benchmark):
     """Reproduce Figure 6 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure6(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure6"].run(profile=FULL))
     ckpt = {s.name: s for s in result['checkpoint_series']}
     largest = ckpt['NORM'].x[-1]
     assert ckpt['GP'].as_dict()[largest] < ckpt['NORM'].as_dict()[largest]

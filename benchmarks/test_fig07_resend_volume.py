@@ -15,6 +15,6 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-7")
 def test_fig07_resend_volume(benchmark):
     """Reproduce Figure 7 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure7(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure7"].run(profile=FULL))
     series = {s.name: s for s in result['series']}
     assert all(a >= b for a, b in zip(series['GP1'].y, series['GP'].y))

@@ -15,6 +15,6 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-8")
 def test_fig08_resend_operations(benchmark):
     """Reproduce Figure 8 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure8(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure8"].run(profile=FULL))
     series = {s.name: s for s in result['series']}
     assert all(a >= b for a, b in zip(series['GP1'].y, series['GP'].y))

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-9")
 def test_fig09_stage_breakdown(benchmark):
     """Reproduce Figure 9 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure9(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure9"].run(profile=FULL))
     table = result['table']
     rows = {(r[0], r[1]): dict(zip(table.columns, r)) for r in table.rows}
     scales = sorted({r[0] for r in table.rows})

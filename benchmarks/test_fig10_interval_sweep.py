@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-10")
 def test_fig10_interval_sweep(benchmark):
     """Reproduce Figure 10 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure10(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure10"].run(profile=FULL))
     series = {s.name: s for s in result['series']}
     assert series['GP time'].as_dict()[0.0] >= series['NORM time'].as_dict()[0.0] - 1e-6
     shortest = min(x for x in series['GP #CKPT'].x if x > 0)

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-11")
 def test_fig11_cg(benchmark):
     """Reproduce Figure 11 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure11(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure11"].run(profile=FULL))
     ckpt = {s.name: s for s in result['checkpoint_series']}
     largest = ckpt['NORM'].x[-1]
     assert ckpt['GP'].as_dict()[largest] < ckpt['NORM'].as_dict()[largest]

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-12")
 def test_fig12_sp(benchmark):
     """Reproduce Figure 12 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure12(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure12"].run(profile=FULL))
     ckpt = {s.name: s for s in result['checkpoint_series']}
     largest = ckpt['NORM'].x[-1]
     assert ckpt['GP'].as_dict()[largest] < ckpt['NORM'].as_dict()[largest]

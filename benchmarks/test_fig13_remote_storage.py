@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-13")
 def test_fig13_remote_storage(benchmark):
     """Reproduce Figure 13 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure13(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure13"].run(profile=FULL))
     series = {s.name: s for s in result['series']}
     largest = series['GP time'].x[-1]
     assert series['GP time'].as_dict()[largest] <= series['VCL time'].as_dict()[largest] * 1.05

@@ -15,6 +15,6 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="figure-14")
 def test_fig14_avg_ckpt_time(benchmark):
     """Reproduce Figure 14 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.figure14(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["figure14"].run(profile=FULL))
     series = {s.name: s for s in result['series']}
     assert series['GP'].y[-1] < series['VCL'].y[-1]

@@ -15,7 +15,7 @@ FULL = bench_profile()
 @pytest.mark.benchmark(group="table-1")
 def test_tab01_group_formation(benchmark):
     """Reproduce Table 1 and verify its qualitative shape."""
-    result = run_experiment(benchmark, lambda: figures.table1(FULL))
+    result = run_experiment(benchmark, lambda: figures.FIGURES["table1"].run(profile=FULL))
     groupset = result['groupset']
     expected = {tuple(range(c, 32, 4)) for c in range(4)}
     assert set(groupset.groups) == expected

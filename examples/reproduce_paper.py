@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Regenerate every table and figure of the paper in one go.
 
-By default this uses the QUICK profile (reduced scales, minutes of runtime);
+By default this uses the QUICK profile (reduced scales, seconds of runtime);
 pass ``--full`` to run the paper-scale sweeps (the same data the benchmark
-harness produces, tens of minutes).
+harness produces, about a minute with two workers).
 
-The sweeps run through the campaign engine: pass ``--db`` to keep the results
+Every selected figure's scenarios are queued in one campaign run, and each
+figure is then rendered from the store.  Pass ``--db`` to keep the results
 in a persistent store (interrupt + rerun = resume; a repeated invocation
-re-runs nothing) and ``--workers`` to use several simulation processes.
+simulates nothing) and ``--workers`` to use several simulation processes.
 
 With a file-backed store, ``--watch`` turns the invocation into a live text
 observatory over that store instead of running experiments: it redraws the
@@ -28,10 +29,12 @@ from repro.campaign import (
     Campaign,
     CampaignStore,
     campaign_progress,
+    get_default_campaign,
     render_progress_text,
     set_default_campaign,
 )
-from repro.experiments import figures
+from repro.campaign.store import scenario_key
+from repro.experiments.figures import FIGURES
 from repro.experiments.config import FULL, QUICK
 
 
@@ -82,19 +85,24 @@ def main(argv=None) -> int:
         set_default_campaign(Campaign(CampaignStore(args.db), n_workers=args.workers))
 
     profile = FULL if args.full else QUICK
-    targets = args.only if args.only else list(figures.ALL_EXPERIMENTS)
-    unknown = [t for t in targets if t not in figures.ALL_EXPERIMENTS]
+    targets = args.only if args.only else list(FIGURES)
+    unknown = [t for t in targets if t not in FIGURES]
     if unknown:
-        parser.error(f"unknown experiments: {unknown}; "
-                     f"available: {sorted(figures.ALL_EXPERIMENTS)}")
+        parser.error(f"unknown experiments: {unknown}; available: {sorted(FIGURES)}")
 
     print(f"Profile: {profile.name} "
-          f"(HPL scales {profile.hpl_scales}, CG scales {profile.cg_scales})\n")
+          f"(HPL scales {profile.hpl_scales}, CG scales {profile.cg_scales})")
+    start = time.time()
+    campaign = get_default_campaign()
+    queued = {scenario_key(c): c for name in targets
+              for c in FIGURES[name].configs(profile=profile)}
+    campaign.run(list(queued.values()))
+    simulated = sum(row.finished_at >= start for row in campaign.store.rows(status="done"))
+    print(f"Campaign: {len(queued)} figure rows queued, {simulated} scenarios simulated "
+          f"(probes included) in {time.time() - start:.1f}s\n")
     for name in targets:
-        start = time.time()
-        result = figures.ALL_EXPERIMENTS[name](profile)
-        elapsed = time.time() - start
-        print(f"=== {name}  [{elapsed:.1f}s] " + "=" * max(0, 60 - len(name)))
+        result = FIGURES[name].run(profile=profile)
+        print(f"=== {name} " + "=" * max(0, 64 - len(name)))
         for key in ("table", "diff_table", "restart_table"):
             if key in result:
                 print(format_table(result[key]))

@@ -252,7 +252,6 @@ class Campaign:
         configs: Sequence[ScenarioConfig],
         n_workers: Optional[int] = None,
         strict: bool = True,
-        priority: int = 0,
     ) -> List[StoredResult]:
         """Ensure every config has a result and return them in input order.
 
@@ -269,15 +268,9 @@ class Campaign:
         concurrent ``run()``s over overlapping grids no longer duplicate
         work.  With ``strict`` (default) a failed experiment raises
         :class:`CampaignError` carrying its stored traceback; otherwise
-        failed entries come back as None.  ``priority`` stamps the requested
-        rows: pending work is claimed highest priority first, so an urgent
-        sweep jumps the queue of a store shared with bulk campaigns.
+        failed entries come back as None.
         """
-        keys = self.store.add_many(configs, priority=priority)
-        if priority:
-            # rows that already existed at a lower priority are promoted too
-            # (never demoted: another sweep's higher stamp wins)
-            self.store.set_priority(keys, priority, only_raise=True)
+        keys = self.store.add_many(configs)
         self.store.reset(("failed",), keys=keys)
         self.store.reclaim_expired(keys=keys)
         stale = self.store.stale_done_keys(payload_stamp(), keys=keys)
@@ -382,14 +375,14 @@ def _remove_tmp_store() -> None:
 
 
 def set_default_campaign(campaign: Optional[Campaign]) -> None:
-    """Install the campaign used by the figure sweeps (None resets to auto)."""
+    """Install the campaign the experiment declarations run on (None resets to auto)."""
     global _DEFAULT_CAMPAIGN, _DEFAULT_IS_AUTO
     _DEFAULT_CAMPAIGN = campaign
     _DEFAULT_IS_AUTO = False
 
 
 def get_default_campaign() -> Campaign:
-    """The process-wide campaign behind :mod:`repro.experiments.figures`.
+    """The process-wide campaign behind :meth:`repro.experiments.declaration.Experiment.run`.
 
     Auto-created on first use from the environment:
 

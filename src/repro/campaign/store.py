@@ -177,7 +177,6 @@ class ExperimentRow:
     finished_at: Optional[float] = None
     duration_s: Optional[float] = None
     lease_expires_at: Optional[float] = None
-    priority: int = 0
 
 
 _SCHEMA = """
@@ -193,8 +192,7 @@ CREATE TABLE IF NOT EXISTS experiments (
     started_at  REAL,
     finished_at REAL,
     duration_s  REAL,
-    lease_expires_at REAL,
-    priority    INTEGER NOT NULL DEFAULT 0
+    lease_expires_at REAL
 );
 CREATE INDEX IF NOT EXISTS idx_experiments_status ON experiments (status);
 CREATE TABLE IF NOT EXISTS benchmarks (
@@ -208,7 +206,7 @@ CREATE INDEX IF NOT EXISTS idx_benchmarks_name ON benchmarks (name);
 
 _COLUMNS = ("key", "config", "status", "metrics", "error", "worker",
             "attempts", "created_at", "started_at", "finished_at", "duration_s",
-            "lease_expires_at", "priority")
+            "lease_expires_at")
 
 
 class CampaignStore:
@@ -243,9 +241,6 @@ class CampaignStore:
         if "lease_expires_at" not in have:
             self._conn.execute(
                 "ALTER TABLE experiments ADD COLUMN lease_expires_at REAL")
-        if "priority" not in have:
-            self._conn.execute(
-                "ALTER TABLE experiments ADD COLUMN priority INTEGER NOT NULL DEFAULT 0")
 
     @property
     def is_memory(self) -> bool:
@@ -257,23 +252,15 @@ class CampaignStore:
         self._conn.close()
 
     # -- writing ----------------------------------------------------------------------
-    def add(self, config: ScenarioConfig, priority: int = 0) -> str:
-        """Register a scenario (no-op if its key already exists) and return its key.
+    def add(self, config: ScenarioConfig) -> str:
+        """Register a scenario (no-op if its key already exists) and return its key."""
+        return self.add_many([config])[0]
 
-        ``priority`` orders the claim queue: higher-priority pending rows are
-        claimed first (ties broken by age then key, as before).
+    def add_many(self, configs: Iterable[ScenarioConfig]) -> List[str]:
+        """Register several scenarios in one transaction; keys in input order.
+
+        Pending rows are claimed in registration order.
         """
-        key = scenario_key(config)
-        self._conn.execute(
-            "INSERT OR IGNORE INTO experiments (key, config, status, created_at, priority) "
-            "VALUES (?, ?, 'pending', ?, ?)",
-            (key, json.dumps(config_to_dict(config), sort_keys=True), time.time(),
-             priority),
-        )
-        return key
-
-    def add_many(self, configs: Iterable[ScenarioConfig], priority: int = 0) -> List[str]:
-        """Register several scenarios in one transaction; keys in input order."""
         conn = self._conn
         keys: List[str] = []
         now = time.time()
@@ -282,11 +269,9 @@ class CampaignStore:
             for config in configs:
                 key = scenario_key(config)
                 conn.execute(
-                    "INSERT OR IGNORE INTO experiments "
-                    "(key, config, status, created_at, priority) "
-                    "VALUES (?, ?, 'pending', ?, ?)",
-                    (key, json.dumps(config_to_dict(config), sort_keys=True), now,
-                     priority),
+                    "INSERT OR IGNORE INTO experiments (key, config, status, created_at) "
+                    "VALUES (?, ?, 'pending', ?)",
+                    (key, json.dumps(config_to_dict(config), sort_keys=True), now),
                 )
                 keys.append(key)
             conn.execute("COMMIT")
@@ -295,29 +280,6 @@ class CampaignStore:
                 conn.execute("ROLLBACK")
             raise
         return keys
-
-    def set_priority(self, keys: Sequence[str], priority: int,
-                     only_raise: bool = False) -> int:
-        """Re-prioritise experiments (affects the order pending rows are claimed).
-
-        Returns the number of rows updated.  Raising a row's priority moves
-        it to the front of every worker's claim queue; the stamp on
-        already-running or finished rows is bookkeeping only (claims read it
-        solely on ``pending`` rows).  With ``only_raise`` the call never
-        *demotes*: rows already stamped higher by another sweep keep their
-        priority (this is what ``Campaign.run(priority=...)`` uses, so two
-        campaigns sharing rows cannot silently undercut each other).
-        """
-        if not keys:
-            return 0
-        marks = ",".join("?" for _ in keys)
-        query = f"UPDATE experiments SET priority = ? WHERE key IN ({marks})"
-        params = [priority, *keys]
-        if only_raise:
-            query += " AND priority < ?"
-            params.append(priority)
-        cur = self._conn.execute(query, tuple(params))
-        return cur.rowcount
 
     def claim(
         self,
@@ -328,8 +290,7 @@ class CampaignStore:
         """Atomically claim one ``pending`` experiment (``pending → running``).
 
         Returns None when no pending experiment is left.  Pending rows are
-        claimed highest ``priority`` first (ties: oldest, then key), so urgent
-        sweeps sharing a store with bulk ones drain first.  ``keys`` restricts
+        claimed in registration order (oldest first).  ``keys`` restricts
         the claim to those experiments (None = any pending row — the
         whole-store pull model).  The claim is a single ``BEGIN IMMEDIATE``
         transaction, so concurrent workers on the same database never claim
@@ -345,7 +306,7 @@ class CampaignStore:
                 return None
             query += f" AND key IN ({','.join('?' for _ in keys)})"
             params = tuple(keys)
-        query += " ORDER BY priority DESC, created_at, key LIMIT 1"
+        query += " ORDER BY created_at, rowid LIMIT 1"
         try:
             conn.execute("BEGIN IMMEDIATE")
             picked = conn.execute(query, params).fetchone()
@@ -578,7 +539,6 @@ class CampaignStore:
             finished_at=data["finished_at"],
             duration_s=data["duration_s"],
             lease_expires_at=data["lease_expires_at"],
-            priority=data["priority"],
         )
 
     def get(self, key_or_config) -> Optional[ExperimentRow]:

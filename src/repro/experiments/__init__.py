@@ -4,8 +4,9 @@
   grouping method, schedule, storage, seeds),
 * :mod:`repro.experiments.runner` — runs one scenario end to end (trace run →
   group formation → checkpointed run → restart) and returns derived metrics,
-* :mod:`repro.experiments.figures` — ``figure1()`` … ``figure14()`` and
-  ``table1()``, each returning the data series/rows the paper plots,
+* :mod:`repro.experiments.figures` — ``FIGURES``, one :class:`Experiment`
+  per table/figure of the paper in paper order: its scenario rows per
+  profile and the data series/rows the paper plots,
 * :mod:`repro.experiments.failures` — failure-injection extension experiments
   (expected lost work vs grouping method and checkpoint interval),
 * :mod:`repro.experiments.availability` — long-horizon availability grids
@@ -20,19 +21,19 @@
   one domain) and the zero-spare shrink-restart grid with its repartition
   table,
 * :mod:`repro.experiments.declaration` — :class:`Experiment`, the one
-  declaration of a store-served sweep: a stamp, a grid builder and a pure
-  ``tables(results)``, with one ``run(**grid)`` through the default campaign
-  and one ``from_store(store)``.  The availability (``AVAILABILITY``),
-  storage-tier (``STORAGE_TIERS``) and shrink-restart (``ELASTIC_SHRINK``)
-  grids are declared this way, and the observatory serves their tables.
+  declaration of an experiment: a grid builder and a pure
+  ``tables(results)``, with one ``run(**grid)`` through the default
+  campaign.  A :class:`StoredExperiment` adds a stamp and one
+  ``from_store(store)``: the availability (``AVAILABILITY``), storage-tier
+  (``STORAGE_TIERS``) and shrink-restart (``ELASTIC_SHRINK``) grids are
+  declared this way, and the observatory serves their tables.
 
-``import repro`` loads ``config``, ``runner`` and ``figures``; the other
-modules load on demand.
+``import repro`` loads ``config`` and ``runner``; the other modules load on
+demand.
 """
 
 from repro.experiments.config import ScenarioConfig, QUICK, FULL, ExperimentProfile
 from repro.experiments.runner import ScenarioResult, run_scenario, obtain_groups
-from repro.experiments import figures
 
 __all__ = [
     "ScenarioConfig",
@@ -42,5 +43,4 @@ __all__ = [
     "FULL",
     "run_scenario",
     "obtain_groups",
-    "figures",
 ]

@@ -40,7 +40,7 @@ from repro.campaign.store import config_to_dict
 from repro.ckpt.scheduler import periodic
 from repro.cluster.topology import GIDEON_300
 from repro.experiments.config import FailureSpec, ScenarioConfig
-from repro.experiments.declaration import Experiment
+from repro.experiments.declaration import StoredExperiment
 
 
 #: workload knobs the availability defaults are calibrated for: enough
@@ -254,8 +254,8 @@ def availability_summary(results) -> Dict[str, object]:
 #: the availability grid: ``cells`` (one :class:`AvailabilityCell` per grid
 #: point, seed-averaged), the ``table`` served as ``/api/tables/availability``
 #: and the seed-averaged ``results``
-AVAILABILITY = Experiment("availability", availability_configs,
-                          availability_summary, served={"availability": "table"})
+AVAILABILITY = StoredExperiment(availability_configs, availability_summary,
+                                stamp="availability", served={"availability": "table"})
 
 
 def calibrated_interval_table(

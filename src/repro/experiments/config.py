@@ -194,8 +194,6 @@ class ExperimentProfile:
         Process counts used for the per-figure sweeps.
     hpl_options / cg_options / sp_options:
         Workload parameter overrides (smaller problems under "quick").
-    repeats:
-        Number of seeds averaged per data point (the paper repeats 5×).
     checkpoint_at_s:
         Time of the single checkpoint in the one-shot experiments.
     """
@@ -208,14 +206,11 @@ class ExperimentProfile:
     hpl_options: Dict[str, object] = field(default_factory=dict)
     cg_options: Dict[str, object] = field(default_factory=dict)
     sp_options: Dict[str, object] = field(default_factory=dict)
-    repeats: int = 1
     checkpoint_at_s: float = 60.0
     interval_sweep_s: Tuple[float, ...] = (0.0, 60.0, 120.0, 180.0, 300.0)
     vcl_interval_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
         if self.checkpoint_at_s < 0:
             raise ValueError("checkpoint_at_s must be non-negative")
 
@@ -228,7 +223,6 @@ FULL = ExperimentProfile(
     cg_scales=(16, 32, 64, 128),
     sp_scales=(64, 81, 100, 121),
     coordination_scales=(16, 24, 32, 40, 48, 56, 64),
-    repeats=2,
     checkpoint_at_s=60.0,
 )
 
@@ -249,7 +243,6 @@ QUICK = ExperimentProfile(
     # time_steps keeps the SP run past checkpoint_at_s at every quick scale
     # (at 25 ranks, 60 steps finish in ~1.97 s — before the t = 2 s request)
     sp_options={"grid_points": 64, "max_steps": 6, "time_steps": 120},
-    repeats=1,
     checkpoint_at_s=2.0,
     interval_sweep_s=(0.0, 8.0, 14.0, 24.0),
     vcl_interval_s=8.0,

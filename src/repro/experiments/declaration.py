@@ -1,13 +1,16 @@
-"""One declaration per store-served experiment.
+"""One declaration per experiment.
 
 An experiment is a parameter grid plus a function of its results, and its
 results are read back from one table (the PyExperimenter model).  An
-:class:`Experiment` holds exactly that: a grid builder whose every config
-carries the experiment's ``stamp`` as its cluster name, and a pure
-``tables(results)``.  :meth:`Experiment.run` executes one grid through the
-default campaign; :meth:`Experiment.from_store` aggregates the stamped
-``done`` rows of any store the same way, which is what the observatory
-serves under ``/api/tables/<name>``.
+:class:`Experiment` holds exactly that: a grid builder ``configs(**grid)``
+and a pure ``tables(results)``; :meth:`Experiment.run` executes one grid
+through the default campaign.  Every paper figure and table is declared
+this way (:data:`repro.experiments.figures.FIGURES`).
+
+A :class:`StoredExperiment` is also served by the observatory: every config
+its grid builds carries its ``stamp`` as the cluster name, and
+:meth:`StoredExperiment.from_store` aggregates the stamped ``done`` rows of
+any store the same way, which is what ``/api/tables/<name>`` serves.
 """
 
 from __future__ import annotations
@@ -23,17 +26,10 @@ from repro.experiments.config import ScenarioConfig
 
 @dataclass(frozen=True)
 class Experiment:
-    """A grid builder, the stamp its configs carry, and its tables.
+    """A grid builder and the tables computed from its results."""
 
-    ``tables(results)`` returns a dict with at least ``results`` (what its
-    tables were computed from); ``served`` maps each table name the
-    observatory serves to the key of that dict holding the table.
-    """
-
-    stamp: str
     configs: Callable[..., List[ScenarioConfig]]
     tables: Callable[[List], Dict[str, object]]
-    served: Mapping[str, str]
 
     def run(self, **grid) -> Dict[str, object]:
         """Run (or fetch) one grid through the default campaign, aggregated.
@@ -42,6 +38,20 @@ class Experiment:
         """
         unique = {scenario_key(c): c for c in self.configs(**grid)}
         return self.tables(get_default_campaign().run(list(unique.values())))
+
+
+@dataclass(frozen=True)
+class StoredExperiment(Experiment):
+    """An experiment the observatory serves from any store.
+
+    Every config of its grid carries ``stamp`` as its cluster name.
+    ``tables(results)`` returns a dict with at least ``results`` (what its
+    tables were computed from); ``served`` maps each table name the
+    observatory serves to the key of that dict holding the table.
+    """
+
+    stamp: str
+    served: Mapping[str, str]
 
     def from_store(self, store: CampaignStore) -> Dict[str, object]:
         """The same tables over a store's ``done`` rows carrying ``stamp``."""

@@ -38,7 +38,7 @@ from repro.analysis.reporting import Table
 from repro.ckpt.scheduler import periodic
 from repro.cluster.topology import GIDEON_300
 from repro.experiments.config import FailureSpec, ScenarioConfig
-from repro.experiments.declaration import Experiment
+from repro.experiments.declaration import StoredExperiment
 from repro.experiments.runner import build_workload
 from repro.mpi.ops import Compute, Isend, Send, SendRecv
 from repro.workloads.domain import Partition
@@ -187,5 +187,5 @@ def elastic_tables(results) -> Dict[str, object]:
 #: the shrink-restart grid, served as ``/api/tables/elastic``.  (The
 #: conservation table is simulation-free but not store-derived, so it is
 #: not part of the declaration.)
-ELASTIC_SHRINK = Experiment("elastic-shrink", elastic_shrink_configs,
-                            elastic_tables, served={"elastic": "repartition"})
+ELASTIC_SHRINK = StoredExperiment(elastic_shrink_configs, elastic_tables,
+                                  stamp="elastic-shrink", served={"elastic": "repartition"})

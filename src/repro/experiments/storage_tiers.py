@@ -41,7 +41,7 @@ from repro.analysis.reporting import Table
 from repro.ckpt.scheduler import CheckpointSchedule
 from repro.cluster.topology import GIDEON_300
 from repro.experiments.config import FailureSpec, ScenarioConfig
-from repro.experiments.declaration import Experiment
+from repro.experiments.declaration import StoredExperiment
 from repro.storage.policy import (
     PARTNER_SAME_SWITCH,
     StoragePolicy,
@@ -291,8 +291,8 @@ def storage_tier_tables(results) -> Dict[str, object]:
 
 
 #: the storage-tier grid, served as ``/api/tables/{overhead,survivability}``
-STORAGE_TIERS = Experiment(
-    "storage-tiers", storage_tier_configs, storage_tier_tables,
+STORAGE_TIERS = StoredExperiment(
+    storage_tier_configs, storage_tier_tables, stamp="storage-tiers",
     served={"overhead": "overhead", "survivability": "survivability"})
 
 

@@ -304,7 +304,7 @@ def test_parallel_campaign_requires_file_store():
 
 # ------------------------------------------------------- the figure sweeps run on top
 def test_hpl_sweep_quick_parallel_matches_sequential_and_caches(tmp_path):
-    """Acceptance: cold hpl_sweep(QUICK) with 2 workers == sequential; warm run free."""
+    """Acceptance: cold QUICK HPL sweep with 2 workers == sequential; warm run free."""
     from repro.experiments import figures
 
     grid = figures.hpl_grid(QUICK)
@@ -317,19 +317,19 @@ def test_hpl_sweep_quick_parallel_matches_sequential_and_caches(tmp_path):
     campaign = Campaign(CampaignStore(str(tmp_path / "hpl.sqlite")), n_workers=2)
     set_default_campaign(campaign)
     try:
-        cold = figures.hpl_sweep(QUICK)
+        cold = {(r.config.method, r.config.n_ranks): r for r in campaign.run(configs)}
         assert campaign.last_executed == len(configs)
         for key, result in cold.items():
             assert result.metrics == sequential[key], f"mismatch for {key}"
 
-        warm = figures.hpl_sweep(QUICK)
+        warm = {(r.config.method, r.config.n_ranks): r for r in campaign.run(configs)}
         assert campaign.last_executed == 0  # no simulation re-ran
         assert all(row.attempts == 1 for row in campaign.store.rows())
         assert {k: v.makespan for k, v in warm.items()} == \
                {k: v.makespan for k, v in cold.items()}
 
         # figures consume the stored results directly
-        fig5 = figures.figure5(QUICK)
+        fig5 = figures.FIGURES["figure5"].run(profile=QUICK)
         assert campaign.last_executed == 0
         assert len(fig5["table"].rows) == len(QUICK.hpl_scales)
     finally:
@@ -575,12 +575,11 @@ def test_heartbeat_thread_keeps_a_claim_alive(tmp_path):
     store.close()
 
 
-# ------------------------------------------------------------- priorities & seed-averaging
-def test_priority_orders_the_claim_queue():
+# ------------------------------------------------------------- claim order & seed-averaging
+def test_claims_follow_registration_order():
     store = CampaignStore()
-    low = store.add(ring_config(seed=1))
-    urgent = store.add(ring_config(seed=2), priority=5)
-    mid = store.add(ring_config(seed=3), priority=2)
+    batch = store.add_many([ring_config(seed=s) for s in (5, 1, 9, 3)])
+    later = store.add(ring_config(seed=2))
     order = []
     while True:
         row = store.claim("w")
@@ -588,29 +587,8 @@ def test_priority_orders_the_claim_queue():
             break
         order.append(row.key)
         store.mark_done(row.key, {"makespan": 1.0})
-    assert order == [urgent, mid, low]
-    assert store.get(urgent).priority == 5
-
-
-def test_set_priority_promotes_existing_rows():
-    store = CampaignStore()
-    first = store.add(ring_config(seed=1))
-    second = store.add(ring_config(seed=2))
-    assert store.set_priority([second], 9) == 1
-    assert store.claim("w").key == second
-    assert store.set_priority([], 1) == 0
-
-
-def test_campaign_run_priority_jumps_a_shared_queue():
-    campaign = Campaign(CampaignStore())
-    bulk = ring_config(seed=1)
-    campaign.store.add(bulk)  # pending bulk work from another sweep
-    urgent = ring_config(seed=2)
-    results = campaign.run([urgent], priority=10)
-    assert len(results) == 1
-    # the bulk row is untouched (run() is scoped) and still lower priority
-    assert campaign.store.get(bulk).status == "pending"
-    assert campaign.store.get(scenario_key(urgent)).priority == 10
+    assert order == batch + [later]
+    assert [row.key for row in store.rows()] == order
 
 
 def test_average_over_seeds_means_and_spread():
@@ -661,20 +639,6 @@ def test_average_over_seeds_feeds_series_helpers():
     assert {s.name for s in series} == {"NORM", "GP1"}
     (norm,) = [s for s in series if s.name == "NORM"]
     assert list(zip(norm.x, norm.y)) == [(4, 3.0)]
-
-
-def test_set_priority_only_raise_never_demotes():
-    store = CampaignStore()
-    key = store.add(ring_config(seed=1), priority=5)
-    # plain call may demote (explicit re-prioritisation)
-    assert store.set_priority([key], 2) == 1
-    assert store.get(key).priority == 2
-    # only_raise never undercuts a higher stamp
-    store.set_priority([key], 7)
-    assert store.set_priority([key], 3, only_raise=True) == 0
-    assert store.get(key).priority == 7
-    assert store.set_priority([key], 9, only_raise=True) == 1
-    assert store.get(key).priority == 9
 
 
 # ------------------------------------------------- telemetry auto-export

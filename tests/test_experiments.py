@@ -5,7 +5,10 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.ckpt.scheduler import one_shot
 from repro.cluster.topology import GIDEON_300
-from repro.experiments import figures
+from repro.campaign.executor import Campaign, reset_default_campaign, set_default_campaign
+from repro.campaign.results import StoredResult
+from repro.campaign.store import scenario_key
+from repro.experiments.figures import FIGURES, hpl_grid
 from repro.experiments.config import FULL, QUICK, ScenarioConfig, profile_by_name
 from repro.experiments.failures import (
     expected_work_loss_experiment,
@@ -98,7 +101,7 @@ def test_run_scenario_without_schedule_skips_restart():
 
 # -------------------------------------------------------------------------------- figures
 def test_table1_reproduces_round_robin_groups():
-    out = figures.table1(QUICK, n_ranks=32)
+    out = FIGURES["table1"].run(profile=QUICK, n_ranks=32)
     groupset = out["groupset"]
     assert groupset.members(0) == (0, 4, 8, 12, 16, 20, 24, 28)
     assert len(out["table"].rows) == 4
@@ -106,7 +109,7 @@ def test_table1_reproduces_round_robin_groups():
 
 
 def test_figure1_series_is_increasing_overall():
-    out = figures.figure1(QUICK)
+    out = FIGURES["figure1"].run(profile=QUICK)
     series = out["series"][0]
     assert len(series) == len(QUICK.coordination_scales)
     assert series.y[-1] > series.y[0]
@@ -114,7 +117,7 @@ def test_figure1_series_is_increasing_overall():
 
 
 def test_figure3_orders_schemes_by_logging():
-    out = figures.figure3(QUICK)
+    out = FIGURES["figure3"].run(profile=QUICK)
     table = out["table"]
     logged = dict(zip(table.column("scheme"), table.column("logged bytes fraction")))
     assert logged["coordinated (NORM)"] == 0.0
@@ -125,12 +128,12 @@ def test_figure3_orders_schemes_by_logging():
 
 
 def test_figures_5_to_9_share_the_same_sweep():
-    figures.clear_sweep_cache()
-    f5 = figures.figure5(QUICK)
-    f6 = figures.figure6(QUICK)
-    f7 = figures.figure7(QUICK)
-    f8 = figures.figure8(QUICK)
-    f9 = figures.figure9(QUICK)
+    reset_default_campaign()
+    f5 = FIGURES["figure5"].run(profile=QUICK)
+    f6 = FIGURES["figure6"].run(profile=QUICK)
+    f7 = FIGURES["figure7"].run(profile=QUICK)
+    f8 = FIGURES["figure8"].run(profile=QUICK)
+    f9 = FIGURES["figure9"].run(profile=QUICK)
     # Figure 5: every method has one point per scale; NORM difference is zero
     for series in f5["series"]:
         assert len(series) == len(QUICK.hpl_scales)
@@ -154,7 +157,7 @@ def test_figures_5_to_9_share_the_same_sweep():
 
 
 def test_figure10_interval_zero_has_no_checkpoints():
-    out = figures.figure10(QUICK, n_ranks=16)
+    out = FIGURES["figure10"].run(profile=QUICK, n_ranks=16)
     count = next(s for s in out["series"] if s.name == "NORM #CKPT")
     assert count.as_dict()[0.0] == 0
     gp_time = next(s for s in out["series"] if s.name == "GP time")
@@ -164,14 +167,48 @@ def test_figure10_interval_zero_has_no_checkpoints():
 
 
 def test_figure13_and_14_compare_gp_and_vcl():
-    figures.clear_sweep_cache()
-    f13 = figures.figure13(QUICK)
-    f14 = figures.figure14(QUICK)
+    reset_default_campaign()
+    f13 = FIGURES["figure13"].run(profile=QUICK)
+    f14 = FIGURES["figure14"].run(profile=QUICK)
     names13 = {s.name for s in f13["series"]}
     assert names13 == {"GP time", "VCL time", "GP #CKPT", "VCL #CKPT"}
     assert {s.name for s in f14["series"]} == {"GP", "VCL"}
     for s in f14["series"]:
         assert all(v > 0 for v in s.y)
+
+
+def test_whole_paper_runs_as_one_campaign():
+    # every figure's rows queued once; each figure then renders from the store
+    campaign = Campaign()
+    set_default_campaign(campaign)
+    try:
+        queued = {scenario_key(c): c for experiment in FIGURES.values()
+                  for c in experiment.configs(profile=QUICK)}
+        campaign.run(list(queued.values()))
+        assert campaign.last_executed == len(queued)
+        for name, experiment in FIGURES.items():
+            out = experiment.run(profile=QUICK)
+            assert campaign.last_executed == 0, name
+            assert out["table"].rows, name
+    finally:
+        set_default_campaign(None)
+
+
+def test_figure8_resend_operations_stay_integers():
+    # tables() is pure, so stored payloads stand in for simulated rows
+    configs = FIGURES["figure8"].configs(profile=QUICK)
+    out = FIGURES["figure8"].tables([StoredResult(c, {"resend_operations": 7})
+                                     for c in configs])
+    assert all(type(v) is int for s in out["series"] for v in s.y)
+
+
+@pytest.mark.parametrize("profile", [QUICK, FULL], ids=lambda p: p.name)
+def test_figure3_and_table1_rows_are_hpl_grid_rows(profile):
+    grid_keys = {scenario_key(c) for c in hpl_grid(profile).expand()}
+    for name in ("figure3", "table1"):
+        (config,) = FIGURES[name].configs(profile=profile)
+        assert config.method == "GP"
+        assert scenario_key(config) in grid_keys, name
 
 
 # -------------------------------------------------------------------------------- failures
