@@ -132,8 +132,8 @@ class VclRankProtocol(RankProtocol):
         # ----- marker broadcast + marker collection + channel work ----------------
         t0 = runtime.now
         tag = _marker_tag(request.ckpt_id)
-        for peer in others:
-            yield from runtime.control_send(ctx, peer, tag=tag, kind=MessageKind.MARKER)
+        if others:
+            yield runtime.control_fanout(ctx, others, tag, kind=MessageKind.MARKER)
         channel_work = 0.0
         for _ in others:
             channel_work += self.vcl.per_channel_marker_s
@@ -145,8 +145,8 @@ class VclRankProtocol(RankProtocol):
                 )
         if channel_work > 0:
             yield runtime.sim.timeout(channel_work)
-        for _ in others:
-            yield from runtime.control_recv(ctx, tag=tag, kind=MessageKind.MARKER)
+        if others:
+            yield runtime.control_gather(ctx, len(others), tag, kind=MessageKind.MARKER)
         stages[STAGE_COORDINATION] = runtime.now - t0
 
         # ----- image dump (the process is frozen while dumping) --------------------

@@ -28,13 +28,33 @@ The proof needs more than "the NIC resource is idle": a transfer that has
 been *initiated* but has not yet reached the NIC (it is still in its
 overhead or latency phase) would contend later.  The ``_tx_inflight`` /
 ``_rx_inflight`` counters track initiated-but-unfinished transfers per NIC;
-the fast path requires the counter to be zero.  Because per-message latency
-and overhead are network constants, any transfer initiated *after* a fast
-reservation reaches the NIC no earlier than the reservation's own NIC phase,
-so the early hold can never steal the NIC from a transfer that would have
-won it under the coroutine model (and the fabric must be absent — with a
-capacity-limited switch the whole-window hold could over-serialise it, so a
-configured ``switch_capacity`` always takes the coroutine model).
+the fast path requires that no *other* transfer be in flight.  Because
+per-message latency and overhead are network constants, any transfer
+initiated *after* a fast reservation reaches the NIC no earlier than the
+reservation's own NIC phase, so the early hold can never steal the NIC from
+a transfer that would have won it under the coroutine model (and the fabric
+must be absent — with a capacity-limited switch the whole-window hold could
+over-serialise it, so a configured ``switch_capacity`` always takes the
+coroutine model).
+
+The same argument lets analytic TX holds pipeline.  A transfer started now
+reaches the NIC at ``now + overhead``.  When the NIC's only in-flight
+transfer is an earlier analytic hold that ends no later than that instant,
+every transfer started now or later reaches the NIC after the hold is over,
+and the counter says nothing started earlier is still on its way; so the
+hold is retired on the spot (keeping its elided events) and the new transfer
+takes the fast path too.  Back-to-back small sends one overhead apart — a
+NORM rank's bookmark fan-out, a halo exchange's isends — therefore each take
+an event-free hold instead of a callback chain.  The RX leg never reads the
+TX NIC (delivery starts at the same instant as the sender leg), so only the
+TX queue's representation changes.
+
+One tie escapes the argument, on both fast TX paths alike: a transfer
+started in the *same callback* as a background send, after it, reaches the
+NIC at the same instant.  The coroutine model grants it the NIC first (the
+spawned sender process only boots after its spawner's step, so its overhead
+timeout lands later on the calendar); the analytic hold and ``_TxChain``
+grant the background send first.  No parity scenario contains that tie.
 
 Setting the environment variable ``REPRO_SIM_FASTPATH=0`` (or constructing
 ``Network(..., fast_path=False)``) forces the full coroutine model; the
@@ -378,9 +398,20 @@ class Network:
         _RxChain(self, dst_node, nbytes, on_complete, arg)
 
     def _expire_tx_hold(self, src_node: int) -> None:
-        """Release an analytic TX hold whose end time has passed."""
+        """Release an analytic TX hold no transfer started now can contend with.
+
+        That is a hold whose end time has passed, or — while it is the NIC's
+        only transfer in flight — one ending no later than ``now + overhead``,
+        the instant a transfer started now reaches the NIC (see the module
+        docstring).
+        """
         hold = self._tx_hold[src_node]
-        if hold is not None and hold[0] <= self.sim.now:
+        if hold is None:
+            return
+        until = hold[0]
+        now = self.sim.now
+        if until <= now or (self._tx_inflight[src_node] == 1
+                            and until <= now + self._overhead_s):
             self._tx_hold[src_node] = None
             self.finish_tx(src_node, hold[1])
 

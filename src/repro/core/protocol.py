@@ -141,13 +141,15 @@ class GroupRankProtocol(RankProtocol):
             return
         leader = min(participants)
         if rank == leader:
-            for _ in others:
-                yield from self.runtime.control_recv(self.ctx, tag=ready_tag)
-            for peer in others:
-                yield from self.runtime.control_send(self.ctx, peer, tag=go_tag)
+            yield self.runtime.control_gather(self.ctx, len(others), ready_tag)
+            yield self.runtime.control_fanout(self.ctx, others, go_tag)
         else:
-            yield from self.runtime.control_send(self.ctx, leader, tag=ready_tag)
+            yield self.runtime.control_fanout(self.ctx, (leader,), ready_tag)
             yield from self.runtime.control_recv(self.ctx, src=leader, tag=go_tag)
+
+    def _drain_bookmark(self, msg: "Message") -> "Event":
+        """Event firing once every byte ``msg``'s bookmark announces has arrived."""
+        return self.ctx.wait_for_received(msg.src, int(msg.payload or 0))
 
     def checkpoint(self, request: CheckpointRequest) -> Generator["Event", Any, CheckpointRecord]:
         """Run the group-coordinated checkpoint (Algorithm 1, checkpoint part)."""
@@ -177,10 +179,9 @@ class GroupRankProtocol(RankProtocol):
 
         # Bookmark exchange: tell every group member how much we sent to them.
         bookmark_tag = _ctrl_tag(request.ckpt_id, _TAG_BOOKMARK)
-        for peer in others:
-            yield from runtime.control_send(
-                ctx, peer, tag=bookmark_tag, payload=ctx.account.sent_to(peer)
-            )
+        if others:
+            yield runtime.control_fanout(ctx, others, bookmark_tag,
+                                         payload_of=ctx.account.sent_to)
 
         # Per-channel quiesce work (crtcp bookmark handling, TCP drain) and the
         # occasional stall — the term that makes global coordination expensive.
@@ -198,10 +199,9 @@ class GroupRankProtocol(RankProtocol):
             yield runtime.sim.timeout(quiesce)
 
         # Receive every member's bookmark and drain in-transit intra-group data.
-        for _ in others:
-            msg = yield from runtime.control_recv(ctx, tag=bookmark_tag)
-            announced = int(msg.payload or 0)
-            yield ctx.wait_for_received(msg.src, announced)
+        if others:
+            yield runtime.control_gather(ctx, len(others), bookmark_tag,
+                                         on_message=self._drain_bookmark)
 
         # Entry barrier: all members ready to dump.
         yield from self._group_barrier(

@@ -552,6 +552,141 @@ class _FastDelivery:
         self.runtime._finish_delivery(self.msg)
 
 
+def _fire_inline(ev: Event) -> None:
+    """Trigger ``ev`` and run its callbacks now, inside the current callback.
+
+    A control chain's ``done`` event fires this way so that the rank it
+    serves resumes in the very calendar callback where the loop the chain
+    replaces would have carried on, not one immediate-queue hop later.
+    """
+    ev._triggered = True
+    _fire_event_now(ev)
+
+
+class _ControlFanout:
+    """Callback chain sending one control message to each peer in turn.
+
+    Replays, event for event, a loop of blocking control sends: per peer it
+    builds the message (epoch stamps, payload read) at the instant the loop
+    would, pushes the same per-message overhead ``Timeout`` and, when that
+    fires, starts the TX and delivery legs — without resuming the sender's
+    generator once per message.  ``done`` fires inline in the callback that
+    starts the last message.  Once the sender stops waiting on ``done`` (a
+    kill or rollback interrupted it), the chain ends; the pending timeout
+    then fires with no effect, as the loop's would.
+    """
+
+    __slots__ = ("runtime", "ctx", "peers", "tag", "kind", "size", "payload_of",
+                 "sent", "msg", "dst_node", "done")
+
+    def __init__(self, runtime: "MpiRuntime", ctx: RankContext, peers: Sequence[int],
+                 tag: int, kind: MessageKind, size: int,
+                 payload_of: Optional[Callable[[int], Any]]) -> None:
+        self.runtime = runtime
+        self.ctx = ctx
+        self.peers = peers
+        self.tag = tag
+        self.kind = kind
+        self.size = size
+        self.payload_of = payload_of
+        self.sent = 0
+        self.done = Event(runtime.sim)
+        self._build()
+
+    def _build(self) -> None:
+        runtime = self.runtime
+        dst = self.peers[self.sent]
+        payload = self.payload_of(dst) if self.payload_of is not None else None
+        self.msg = runtime._make_message(self.ctx.rank, dst, self.size, self.tag,
+                                         self.kind, payload=payload)
+        self.dst_node = runtime.contexts[dst].node_id
+        Timeout(runtime.sim, runtime.cluster.network._overhead_s).callbacks.append(
+            self._on_overhead)
+
+    def _on_overhead(self, _ev: Event) -> None:
+        if not self.done.callbacks:
+            return
+        runtime = self.runtime
+        src_node = self.ctx.node_id
+        if src_node != self.dst_node:
+            runtime._spawn_tx(src_node, self.size)
+        runtime._start_delivery(self.msg, self.size, src_node, self.dst_node)
+        self.sent += 1
+        if self.sent < len(self.peers):
+            self._build()
+        else:
+            _fire_inline(self.done)
+
+
+class _ControlGather:
+    """Callback chain receiving ``count`` control messages from any source.
+
+    Replays, event for event, a loop of ``ANY_SOURCE`` control receives: it
+    makes the same ``Inbox.get`` calls at the same instants, and after each
+    message calls ``on_message(msg)``, which may return one event to wait on
+    (the bookmark drain) before the next get.  ``done`` fires inline in the
+    callback where the loop would have moved on.  Once the receiver stops
+    waiting on ``done`` the chain ends: the pending get or drain then fires
+    with no effect, as the loop's would.
+
+    ``done``'s lazy name reports the gather's progress and any pending
+    drain, so a wedged rank's ``SimProcess.waiting_on`` says what it waits
+    for; it is resolved only in ``repr``.
+    """
+
+    __slots__ = ("ctx", "count", "tag", "kind", "on_message", "got", "wait", "done")
+
+    def __init__(self, ctx: RankContext, count: int, tag: int, kind: MessageKind,
+                 on_message: Optional[Callable[[Message], Optional[Event]]]) -> None:
+        self.ctx = ctx
+        self.count = count
+        self.tag = tag
+        self.kind = kind
+        self.on_message = on_message
+        self.got = 0
+        self.wait: Optional[Event] = None
+        self.done = Event(ctx.sim, self._describe)
+        ctx.inbox.get(kind, None, tag).callbacks.append(self._on_message)
+
+    def _on_message(self, ev: Event) -> None:
+        if not self.done.callbacks:
+            return
+        self.got += 1
+        if self.on_message is not None:
+            wait = self.on_message(ev._value)
+            if wait is not None:
+                self.wait = wait
+                wait.callbacks.append(self._on_ready)
+                return
+        self._next()
+
+    def _on_ready(self, _ev: Event) -> None:
+        if not self.done.callbacks:
+            return
+        self.wait = None
+        self._next()
+
+    def _next(self) -> None:
+        if self.got < self.count:
+            self.ctx.inbox.get(self.kind, None, self.tag).callbacks.append(
+                self._on_message)
+        else:
+            _fire_inline(self.done)
+
+    def _describe(self) -> str:
+        ctx = self.ctx
+        text = (f"rank {ctx.rank} gathering {self.kind.value} tag {self.tag}: "
+                f"{self.got}/{self.count} received")
+        wait = self.wait
+        if wait is not None and not wait._processed:
+            for src, threshold, watched in ctx._arrival_watchers:
+                if watched is wait:
+                    return (f"{text}; draining rank {src}: "
+                            f"{ctx.account.received_from(src)} of {threshold} B arrived")
+            return f"{text}; waiting on {wait!r}"
+        return text
+
+
 ProgramFactory = Callable[[int], Iterable[Op]]
 
 
@@ -904,27 +1039,24 @@ class MpiRuntime:
         stats.send_time += sim.now - start
         return msg
 
-    def control_send(
+    def control_fanout(
         self,
         ctx: RankContext,
-        dst: int,
+        peers: Sequence[int],
         tag: int,
-        payload: Any = None,
-        nbytes: Optional[int] = None,
+        payload_of: Optional[Callable[[int], Any]] = None,
         kind: MessageKind = MessageKind.CONTROL,
-    ) -> Generator[Event, None, Message]:
-        """Send a protocol control message (not logged, not traced, not S/R-counted)."""
-        if nbytes is not None and nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        size = nbytes if nbytes is not None else self.config.control_message_bytes
-        msg = self._make_message(ctx.rank, dst, size, tag, kind, payload=payload)
-        src_node = ctx.node_id
-        dst_node = self.ctx(dst).node_id
-        yield Timeout(self.sim, self.cluster.network._overhead_s)
-        if src_node != dst_node:
-            self._spawn_tx(src_node, size)
-        self._start_delivery(msg, size, src_node, dst_node)
-        return msg
+    ) -> Event:
+        """Send one protocol control message to each of ``peers``, in order.
+
+        Control messages are not logged, traced or S/R-counted.  The sender
+        is busy for one per-message overhead per peer; the message to peer
+        ``p`` carries ``payload_of(p)``, read when its overhead starts.
+        Returns the event the sender yields once for the whole fan-out (see
+        :class:`_ControlFanout`); ``peers`` must not be empty.
+        """
+        return _ControlFanout(self, ctx, peers, tag, kind,
+                              self.config.control_message_bytes, payload_of).done
 
     def app_recv(
         self,
@@ -992,6 +1124,23 @@ class MpiRuntime:
         get_ev = ctx.inbox.get(kind, src, tag)
         yield get_ev
         return get_ev.value
+
+    def control_gather(
+        self,
+        ctx: RankContext,
+        count: int,
+        tag: int,
+        on_message: Optional[Callable[[Message], Optional[Event]]] = None,
+        kind: MessageKind = MessageKind.CONTROL,
+    ) -> Event:
+        """Receive ``count`` control messages with ``tag`` from any source.
+
+        After each message, ``on_message(msg)`` may return an event to wait
+        on before the next receive.  Returns the event the receiver yields
+        once for the whole gather (see :class:`_ControlGather`); ``count``
+        must be positive.
+        """
+        return _ControlGather(ctx, count, tag, kind, on_message).done
 
     # ----------------------------------------------------- storage for protocols
     def storage_write(self, ctx: RankContext, nbytes: int) -> Generator[Event, None, float]:

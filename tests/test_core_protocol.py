@@ -222,6 +222,27 @@ def test_checkpoint_while_blocked_in_receive_does_not_deadlock():
     assert result.makespan > 2.0
 
 
+def test_bookmark_sends_take_the_event_free_tx_hold():
+    """A rank's bookmarks leave one overhead apart; each must pipeline onto
+    the analytic TX hold instead of starting a callback chain."""
+    from repro.experiments.config import ScenarioConfig
+    from repro.experiments.runner import run_scenario
+
+    n = 32
+
+    def tx_holds(schedule):
+        result = run_scenario(ScenarioConfig(
+            workload="halo2d", n_ranks=n, method="NORM", schedule=schedule,
+            seed=0, workload_options={"iterations": 10}, do_restart=False))
+        return result.checkpoints_completed, result.app.contexts[0].sim.stats.fastpath_tx
+
+    ckpts, with_ckpt = tx_holds(one_shot(0.5))
+    assert ckpts == 1
+    _, without = tx_holds(None)
+    # one bookmark per ordered pair; the barrier tokens add a few more
+    assert with_ckpt - without >= 0.9 * n * (n - 1)
+
+
 # ----------------------------------------------------------------------------------- VCL
 def test_vcl_checkpoints_all_ranks_globally():
     n = 5

@@ -16,6 +16,8 @@ on:
   set.
 * **Determinism** — a seeded :class:`PoissonFailureModel` produces identical
   recovery metrics with ``REPRO_SIM_FASTPATH=0`` and ``=1``.
+* **Interrupted coordination** — a kill in the middle of a bookmark fan-out
+  or gather stops it where the per-peer loop it replaces stopped.
 * **Measured vs analytic** — measured lost work preserves the paper's
   NORM >= GP-k >= GP1 ordering and tracks the analytic model on the same grid.
 """
@@ -33,9 +35,11 @@ from repro.cluster.failure import (
 )
 from repro.cluster.topology import Cluster, GIDEON_300
 from repro.core.coordinator import CheckpointCoordinator
+from repro.core.protocol import _TAG_BOOKMARK, _ctrl_tag
 from repro.experiments.config import QUICK, FailureSpec, ScenarioConfig
 from repro.experiments.runner import build_family, build_workload, run_scenario
-from repro.mpi.runtime import MpiRuntime
+from repro.mpi.messages import MessageKind
+from repro.mpi.runtime import Inbox, MpiRuntime
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -226,6 +230,107 @@ class TestDeterminism:
         a = self.METRICS(self._poisson_run())
         b = self.METRICS(self._poisson_run())
         assert a == b
+
+
+#: tag of the bookmarks of the first checkpoint (id 0)
+_BOOKMARK = _ctrl_tag(0, _TAG_BOOKMARK)
+
+
+def _log_control(monkeypatch):
+    """Log every control message built and every one an inbox hands out.
+
+    Entries are ``(what, rank, peer, time, tag)``: ``("built", src, dst,
+    ...)`` and ``("taken", receiving rank, src, ...)``.
+    """
+    log = []
+    make, fire = MpiRuntime._make_message, Inbox._fire
+
+    def logged_make(self, src, dst, nbytes, tag, kind, piggyback=None, payload=None):
+        if kind is not MessageKind.APP:
+            log.append(("built", src, dst, self.sim.now, tag))
+        return make(self, src, dst, nbytes, tag, kind, piggyback, payload)
+
+    def logged_fire(self, ev, msg):
+        if msg.kind is not MessageKind.APP:
+            log.append(("taken", self.rank, msg.src, self.sim.now, msg.tag))
+        fire(self, ev, msg)
+
+    monkeypatch.setattr(MpiRuntime, "_make_message", logged_make)
+    monkeypatch.setattr(Inbox, "_fire", logged_fire)
+    return log
+
+
+def _rank0_bookmarks(log, what):
+    return [t for w, rank, _, t, tag in log if w == what and rank == 0 and tag == _BOOKMARK]
+
+
+@pytest.fixture(scope="module")
+def rank0_bookmarks():
+    """When rank 0 builds and takes its first-checkpoint bookmarks, failure-free.
+
+    NORM on 16 ranks: rank 0 sends its 15 bookmarks one overhead apart,
+    then finds most of its peers' bookmarks already buffered; the last ones
+    (later request stagger) arrive one by one.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        log = _log_control(mp)
+        runtime, _ = _launch(method="NORM")
+        runtime.run_to_completion(limit_s=1e5)
+    built, taken = _rank0_bookmarks(log, "built"), _rank0_bookmarks(log, "taken")
+    assert len(built) == len(taken) == 15
+    assert taken[-3] < taken[-2] < taken[-1]
+    return {"fanout": (built[5] + built[6]) / 2, "gather": (taken[-3] + taken[-2]) / 2,
+            "built": built}
+
+
+def _kill_rank0(kill_at):
+    runtime, injector = _launch(
+        method="NORM", failure_model=TraceFailureModel([FailureEvent(kill_at, 0)]))
+    app = runtime.run_to_completion(limit_s=1e6)
+    assert len(injector.injected_events) == 1 and len(app.recovery) == 1
+    return app, runtime.sim
+
+
+class TestControlChainsUnderKills:
+    """A kill stops a bookmark fan-out or gather where the per-peer loop it
+    replaces stopped: the victim's pending timeout, get or drain still fires,
+    but starts nothing more."""
+
+    def test_kill_mid_fanout_builds_nothing_after_the_kill(self, rank0_bookmarks,
+                                                           monkeypatch):
+        kill_at = rank0_bookmarks["fanout"]
+        log = _log_control(monkeypatch)
+        app, _ = _kill_rank0(kill_at)
+        relaunched = app.recovery[0].completed_at
+        assert _rank0_bookmarks(log, "built")[:6] == rank0_bookmarks["built"][:6]
+        assert not [t for w, rank, _, t, _ in log
+                    if w == "built" and rank == 0 and kill_at < t < relaunched]
+
+    def test_kill_mid_gather_takes_at_most_the_pending_message(self, rank0_bookmarks,
+                                                              monkeypatch):
+        kill_at = rank0_bookmarks["gather"]
+        log = _log_control(monkeypatch)
+        app, _ = _kill_rank0(kill_at)
+        relaunched = app.recovery[0].completed_at
+        # peers still send rank 0 bookmarks after the kill (non-vacuity) ...
+        assert len([t for w, _, peer, t, tag in log if w == "built" and peer == 0
+                    and tag == _BOOKMARK and kill_at < t < relaunched]) >= 2
+        # ... but only the get pending at the kill can take one
+        assert len([t for t in _rank0_bookmarks(log, "taken")
+                    if kill_at < t < relaunched]) <= 1
+
+    @pytest.mark.parametrize("where", ["fanout", "gather"])
+    def test_killed_runs_account_every_event(self, rank0_bookmarks, where, monkeypatch):
+        runs = {}
+        for fast in ("1", "0"):
+            monkeypatch.setenv("REPRO_SIM_FASTPATH", fast)
+            app, sim = _kill_rank0(rank0_bookmarks[where])
+            runs[fast] = (TestDeterminism.METRICS(app), sim.processed_events,
+                          sim.stats.events_elided)
+        (fast_metrics, fast_events, fast_elided), (slow_metrics, slow_events, _) = (
+            runs["1"], runs["0"])
+        assert fast_metrics == slow_metrics
+        assert slow_events == fast_events + fast_elided
 
 
 class TestScenarioIntegration:

@@ -235,6 +235,74 @@ def test_live_tx_hold_materialises_for_coroutine_contender():
     assert done[0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_back_to_back_holds_pipeline_without_events():
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
+    assert net.try_hold_tx(0, 64)
+    # one overhead later the first hold ends before a send started now
+    # reaches the NIC: it retires and the second send takes the hold too
+    sim.now = FAST_ETHERNET.per_message_overhead_s
+    assert net.try_hold_tx(0, 64)
+    assert not sim._heap
+    assert sim.stats.fastpath_tx == 2
+    assert sim.stats.events_elided == 8
+
+
+def test_hold_ending_after_the_next_nic_arrival_still_refuses():
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
+    assert net.try_hold_tx(0, 115_000)
+    sim.now = FAST_ETHERNET.per_message_overhead_s
+    assert not net.try_hold_tx(0, 64)
+    assert net.try_reserve_tx(0, 64) is None
+
+
+def _pipelined_sends_then_contender(fast_path):
+    """Two 64 B background sends one overhead apart, then a coroutine transfer.
+
+    The contender starts after both sends and reaches the NIC while the
+    second one holds it.  Returns its finish time and the event counts.
+    """
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 2, fast_path=fast_path)
+    overhead = FAST_ETHERNET.per_message_overhead_s
+    ser = 64 / FAST_ETHERNET.bandwidth_bytes_per_s
+    finished = []
+
+    def spawn_tx():  # MpiRuntime._spawn_tx
+        if not net.fast_path:
+            net.begin_tx(0)
+            sim.process(net.tx_counted(0, 64))
+        elif not net.try_hold_tx(0, 64):
+            net.start_tx(0, 64)
+
+    def sender():
+        for _ in range(2):
+            yield sim.timeout(overhead)
+            spawn_tx()
+
+    def contender():
+        yield sim.timeout(2 * overhead + ser / 2)
+        yield from net.tx(0, 115_000)
+        finished.append(sim.now)
+
+    sim.process(sender())
+    sim.process(contender())
+    sim.run()
+    return finished[0], sim.processed_events, sim.stats.events_elided, sim.stats.fastpath_tx
+
+
+def test_pipelined_holds_queue_a_contender_like_the_coroutine_model():
+    fast_done, fast_events, fast_elided, fast_holds = _pipelined_sends_then_contender(True)
+    slow_done, slow_events, slow_elided, _ = _pipelined_sends_then_contender(False)
+    assert fast_holds == 2
+    overhead = FAST_ETHERNET.per_message_overhead_s
+    second_hold_end = (2 * overhead + overhead) + 64 / 11.5e6
+    assert fast_done == slow_done == second_hold_end + 115_000 / 11.5e6
+    assert slow_elided == 0
+    assert slow_events == fast_events + fast_elided
+
+
 def test_fabric_disables_tx_fast_path():
     from dataclasses import replace
 

@@ -400,3 +400,49 @@ def test_runtime_send_conserves_bytes(nbytes):
     rt.launch(prog)
     rt.run_to_completion()
     assert rt.ctx(0).account.sent_to(1) == rt.ctx(1).account.received_from(0) == nbytes
+
+
+def test_control_fanout_and_gather_resume_each_rank_once():
+    sim, rt = make_runtime(3)
+    resumed = []
+
+    def sender(rank):
+        yield rt.control_fanout(rt.ctx(rank), [0], tag=9, payload_of=lambda peer: rank)
+        resumed.append((rank, sim.now))
+
+    def receiver():
+        got = []
+        yield rt.control_gather(rt.ctx(0), 2, tag=9, on_message=lambda m: got.append(m.payload))
+        resumed.append((0, sim.now))
+        return got
+
+    gather = sim.process(receiver())
+    for rank in (1, 2):
+        sim.process(sender(rank))
+    sim.run()
+    assert sorted(gather.value) == [1, 2]
+    overhead = rt.cluster.network.spec.per_message_overhead_s
+    assert [r for r, _ in resumed] == [1, 2, 0]
+    assert resumed[0][1] == resumed[1][1] == overhead
+
+
+def test_control_gather_names_what_a_wedged_rank_waits_for():
+    sim, rt = make_runtime(3)
+    ctx = rt.ctx(0)
+
+    def receiver():
+        # rank 1 announces 500 B that never arrive; rank 2 never sends
+        yield rt.control_gather(ctx, 2, tag=7,
+                                on_message=lambda m: ctx.wait_for_received(m.src, m.payload))
+
+    def announcer():
+        yield rt.control_fanout(rt.ctx(1), [0], tag=7, payload_of=lambda peer: 500)
+
+    proc = sim.process(receiver())
+    sim.process(announcer())
+    sim.run()
+    assert proc.is_alive
+    waiting = proc.waiting_on
+    assert callable(waiting._name)  # resolved only when printed
+    assert "rank 0 gathering control tag 7: 1/2 received" in repr(waiting)
+    assert "draining rank 1: 0 of 500 B arrived" in repr(waiting)
