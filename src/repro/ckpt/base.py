@@ -222,8 +222,6 @@ class ProtocolConfig:
     restart_rebuild_s:
         Fixed per-process cost of re-creating the process and refreshing the
         MPI library's internal structures during restart.
-    control_bytes:
-        Size of a coordination control message (bookmarks, barrier tokens).
     per_channel_quiesce_s:
         Per-peer-channel cost of the bookmark exchange and TCP-level quiesce
         during coordination.  This models LAM/MPI's crtcp module work per
@@ -246,12 +244,6 @@ class ProtocolConfig:
         Size of the in-memory log buffer.  Logging is asynchronous, so at a
         checkpoint only the not-yet-persisted tail (at most this many bytes)
         needs a synchronous flush.
-    piggyback_bytes:
-        Extra bytes carried by the first message to a peer after a checkpoint
-        (the ``RR`` value used for garbage collection).
-    replay_batch_bytes:
-        Replay messages are resent in batches of at most this many bytes per
-        resend operation during restart.
     dump_fork_s:
         Cost of the pre-dump quiesce/fork before image bytes start flowing.
     """
@@ -259,7 +251,6 @@ class ProtocolConfig:
     lock_mpi_s: float = 0.08
     finalize_s: float = 0.12
     restart_rebuild_s: float = 0.35
-    control_bytes: int = 64
     per_channel_quiesce_s: float = 0.010
     channel_stall_probability: float = 0.025
     channel_stall_s: float = 0.8
@@ -268,8 +259,6 @@ class ProtocolConfig:
     log_copy_bandwidth: float = 100e6
     log_entry_overhead_s: float = 12e-6
     log_flush_buffer_bytes: int = 4 * 1024 * 1024
-    piggyback_bytes: int = 16
-    replay_batch_bytes: int = 256 * 1024
     dump_fork_s: float = 0.05
 
     def __post_init__(self) -> None:
@@ -289,14 +278,10 @@ class ProtocolConfig:
         for name in ("channel_stall_probability", "unexpected_delay_probability"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.control_bytes < 0 or self.piggyback_bytes < 0:
-            raise ValueError("control_bytes and piggyback_bytes must be non-negative")
         if self.log_copy_bandwidth <= 0:
             raise ValueError("log_copy_bandwidth must be positive")
         if self.log_flush_buffer_bytes < 0:
             raise ValueError("log_flush_buffer_bytes must be non-negative")
-        if self.replay_batch_bytes <= 0:
-            raise ValueError("replay_batch_bytes must be positive")
 
     def with_overrides(self, **kwargs: Any) -> "ProtocolConfig":
         """A copy of this config with selected fields replaced."""

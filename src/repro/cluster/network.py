@@ -9,10 +9,22 @@ measurements the relevant effects are:
   messages at once shares its link, which is what makes "clearing in-transit
   messages" and "replaying logs to many peers" expensive at scale.
 
-The model exposes the coroutine :meth:`Network.transfer` (and its halves
-:meth:`Network.tx` / :meth:`Network.rx_path`), which yield simulation events
-until the message has been fully delivered, and a cheaper closed-form
-estimate, :meth:`Network.transfer_time`, used by analytic helper code.
+A message runs as a sender leg and a receiver leg, and each leg picks its
+own representation (closed-form reservation, analytic hold, callback chain
+or coroutine), so the fast path's proof and its event accounting live in
+this module only:
+
+* :meth:`Network.tx` — the blocking sender leg (per-message overhead + TX
+  NIC serialisation), a generator the sender yields from;
+* :meth:`Network.send_background` — the same leg for a non-blocking send,
+  which occupies the NIC but not the sender;
+* :meth:`Network.deliver` — the receiver leg (latency + RX NIC
+  serialisation, nothing for a same-node message), which calls
+  ``on_complete(arg)`` at the delivery instant.
+
+:meth:`Network.transfer` is :meth:`~Network.tx` followed by a blocking
+receiver leg, and :meth:`Network.transfer_time` a closed-form estimate for
+analytic helper code.
 
 Closed-form fast path
 ---------------------
@@ -56,6 +68,26 @@ spawned sender process only boots after its spawner's step, so its overhead
 timeout lands later on the calendar); the analytic hold and ``_TxChain``
 grant the background send first.  No parity scenario contains that tie.
 
+Event accounting
+----------------
+Each fast representation adds to ``sim.stats.events_elided`` the calendar
+events the coroutine model processes and it does not, so that
+``slow.processed_events == fast.processed_events + fast.stats.events_elided``:
+
+====================================================  ======
+fast representation                                   elided
+====================================================  ======
+analytic TX hold (``send_background``)                    +4
+closed-form delivery (``deliver``)                        +3
+closed-form blocking leg (``tx``, ``transfer``'s RX)      +2
+callback chain, local delivery or NIC grant skip          +1
+materialised TX hold (a coroutine contends)               -1
+====================================================  ======
+
+Blocking legs stay generators with ``try/finally`` on both models: a sender
+killed mid-send frees or cancels its NIC claim at the kill instant, where a
+callback chain would hold the NIC to the end of serialisation.
+
 Setting the environment variable ``REPRO_SIM_FASTPATH=0`` (or constructing
 ``Network(..., fast_path=False)``) forces the full coroutine model; the
 determinism-parity tests run both and assert bit-identical results.
@@ -65,9 +97,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.sim.primitives import Event, Resource, ResourceHold, ResourceRequest
+from repro.sim.primitives import Event, Resource, ResourceHold
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import NodeTopology
@@ -253,6 +285,36 @@ class _RxChain:
         self.on_complete(self.arg)
 
 
+class _ReservedRx:
+    """Completion callback of a closed-form delivery (one slotted object).
+
+    Releases the analytic RX reservation at its computed end time, then
+    calls ``on_complete(arg)``; replaces a closure + argument tuple on the
+    per-message fast path.
+    """
+
+    __slots__ = ("net", "dst", "req", "on_complete", "arg")
+
+    def __init__(self, net: "Network", dst_node: int, req: ResourceHold,
+                 on_complete, arg) -> None:
+        self.net = net
+        self.dst = dst_node
+        self.req = req
+        self.on_complete = on_complete
+        self.arg = arg
+
+    def __call__(self, _ev: Event) -> None:
+        self.net.finish_rx(self.dst, self.req)
+        self.on_complete(self.arg)
+
+
+def _complete(on_complete, arg) -> Generator[Event, None, None]:
+    """Coroutine-model body of a same-node delivery: complete at once."""
+    on_complete(arg)
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
 class Network:
     """A switched network connecting the nodes of a :class:`~repro.cluster.topology.Cluster`.
 
@@ -372,31 +434,6 @@ class Network:
         self._tx_hold[src_node] = (end, req)
         return True
 
-    def start_tx(self, src_node: int, nbytes: int) -> None:
-        """Background sender-side path as a callback chain (no process).
-
-        Used when the analytic hold of :meth:`try_hold_tx` is not provable
-        (NIC contended or another transfer in flight): the full event
-        sequence of the coroutine model runs, driven by callbacks instead of
-        a spawned process — eliding exactly the process-completion event.
-        """
-        self._tx_inflight[src_node] += 1
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        self.sim.stats.events_elided += 1
-        _TxChain(self, src_node, nbytes)
-
-    def start_rx(self, dst_node: int, nbytes: int, on_complete, arg) -> None:
-        """Background receiver-side path as a callback chain (no process).
-
-        Runs the full latency + RX NIC event sequence of the coroutine model
-        and calls ``on_complete(arg)`` at the delivery-completion instant —
-        eliding exactly the process-completion event of the spawned model.
-        """
-        self._rx_inflight[dst_node] += 1
-        self.sim.stats.events_elided += 1
-        _RxChain(self, dst_node, nbytes, on_complete, arg)
-
     def _expire_tx_hold(self, src_node: int) -> None:
         """Release an analytic TX hold no transfer started now can contend with.
 
@@ -460,123 +497,90 @@ class Network:
         self._rx_inflight[dst_node] -= 1
         self._rx[dst_node].release(reservation)
 
-    # -- inflight bookkeeping for spawned coroutines -----------------------
-    def begin_tx(self, src_node: int) -> None:
-        """Count a sender-side transfer as initiated (spawned-coroutine path).
-
-        A generator's body only runs once the spawned process is first
-        stepped; counting at spawn time closes the window in which a fast
-        reservation could sneak past a transfer that is already on its way.
-        Pair with :meth:`tx_counted`.
-        """
-        self._tx_inflight[src_node] += 1
-
-    def begin_rx(self, dst_node: int) -> None:
-        """Count a receiver-side transfer as initiated (see :meth:`begin_tx`)."""
-        self._rx_inflight[dst_node] += 1
-
-    def tx_counted(self, src_node: int, nbytes: int) -> Generator[Event, None, float]:
-        """Sender-side coroutine for a transfer already counted via :meth:`begin_tx`."""
-        try:
-            result = yield from self._tx_body(src_node, nbytes)
-        finally:
-            self._tx_inflight[src_node] -= 1
-        return result
-
-    def rx_counted(self, dst_node: int, nbytes: int) -> Generator[Event, None, float]:
-        """Receiver-side coroutine for a transfer already counted via :meth:`begin_rx`."""
-        try:
-            result = yield from self._rx_body(dst_node, nbytes)
-        finally:
-            self._rx_inflight[dst_node] -= 1
-        return result
-
-    # -- simulated transfer ----------------------------------------------
+    # -- message legs ------------------------------------------------------
     def tx(self, src_node: int, nbytes: int) -> Generator[Event, None, float]:
-        """Sender-side portion of a transfer: per-message overhead + TX NIC hold.
+        """Blocking sender leg: per-message overhead + TX NIC serialisation.
 
-        This is the part of a blocking send the *sender* is occupied for.
-        Returns the elapsed sender time.
+        The part of a send the *sender* is occupied for; returns the elapsed
+        sender time.  Takes the closed-form reservation of
+        :meth:`try_reserve_tx` when the NIC is provably uncontended, else the
+        coroutine model.  Either way an interrupted sender (a rank killed
+        mid-send, an aborted recovery's image fetch) frees or cancels its
+        NIC claim at the interrupt instant.
         """
         self._check_node(src_node)
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        self._tx_inflight[src_node] += 1
-        try:
-            result = yield from self._tx_body(src_node, nbytes)
-        finally:
-            self._tx_inflight[src_node] -= 1
-        return result
+        sim = self.sim
+        start = sim.now
+        fast = self.try_reserve_tx(src_node, nbytes)
+        if fast is None:
+            self._tx_inflight[src_node] += 1
+            yield from self._tx_body(src_node, nbytes)
+        else:
+            done, reservation = fast
+            sim.stats.events_elided += 2
+            try:
+                yield done
+            finally:
+                self.finish_tx(src_node, reservation)
+        return sim.now - start
 
-    def _tx_body(self, src_node: int, nbytes: int) -> Generator[Event, None, float]:
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        start = self.sim.now
-        yield self.sim.timeout(self.spec.per_message_overhead_s)
-        ser = self.spec.serialization_time(nbytes)
-        self._materialize_tx_hold(src_node)
-        if self.fast_path and self._fabric is None:
-            tx_req = self._tx[src_node].acquire_nowait()
-            if tx_req is not None:
-                # NIC free right now: the delay-zero grant is provably
-                # immediate — hold the slot and skip the grant event.
-                self.sim.stats.events_elided += 1
-                try:
-                    yield self.sim.timeout(ser)
-                finally:
-                    self._tx[src_node].release(tx_req)
-                return self.sim.now - start
-        # The grant waits sit inside try/finally so that an interrupted
-        # process (live failure injection kills ranks mid-transfer) cancels
-        # its queued request instead of leaking a NIC slot forever.
-        tx_req = self._tx[src_node].request()
-        try:
-            yield tx_req
-            if self._fabric is not None:
-                fb_req = self._fabric.request()
-                try:
-                    yield fb_req
-                    yield self.sim.timeout(ser)
-                finally:
-                    self._fabric.release(fb_req)
+    def send_background(self, src_node: int, nbytes: int) -> None:
+        """Non-blocking sender leg: the TX NIC is busy, the sender is not.
+
+        Takes the event-free analytic hold of :meth:`try_hold_tx`, else runs
+        the coroutine model's events as a :class:`_TxChain` (eliding only the
+        process-completion event); with the fast path off it spawns the
+        sender coroutine.
+        """
+        if not self.fast_path:
+            self._tx_inflight[src_node] += 1
+            self.sim.process(self._tx_body(src_node, nbytes), name="tx")
+        elif not self.try_hold_tx(src_node, nbytes):
+            self._tx_inflight[src_node] += 1
+            self.total_bytes += nbytes
+            self.total_messages += 1
+            self.sim.stats.events_elided += 1
+            _TxChain(self, src_node, nbytes)
+
+    def deliver(self, src_node: int, dst_node: int, nbytes: int,
+                on_complete: Callable[[Any], None], arg: Any) -> None:
+        """Receiver leg of a message: calls ``on_complete(arg)`` on arrival.
+
+        A same-node message completes at once (through the immediate queue);
+        a remote one pays latency + RX NIC serialisation, as the closed-form
+        reservation of :meth:`try_reserve_rx` when the RX NIC is provably
+        uncontended, else as an :class:`_RxChain` (eliding only the
+        process-completion event).  With the fast path off each delivery is
+        a spawned coroutine.
+        """
+        sim = self.sim
+        if src_node == dst_node:
+            if self.fast_path:
+                stats = sim.stats
+                stats.fastpath_local += 1
+                stats.events_elided += 1
+                sim.call_soon(on_complete, arg)
             else:
-                yield self.sim.timeout(ser)
-        finally:
-            self._tx[src_node].release(tx_req)
-        return self.sim.now - start
-
-    def rx_path(self, dst_node: int, nbytes: int) -> Generator[Event, None, float]:
-        """Network-and-receiver portion of a transfer: latency + RX NIC serialisation."""
-        self._check_node(dst_node)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self._rx_inflight[dst_node] += 1
-        try:
-            result = yield from self._rx_body(dst_node, nbytes)
-        finally:
-            self._rx_inflight[dst_node] -= 1
-        return result
-
-    def _rx_body(self, dst_node: int, nbytes: int) -> Generator[Event, None, float]:
-        start = self.sim.now
-        yield self.sim.timeout(self.spec.latency_s)
-        if self.fast_path:
-            rx_req = self._rx[dst_node].acquire_nowait()
-            if rx_req is not None:
-                # NIC free at arrival: skip the delay-zero grant event.
-                self.sim.stats.events_elided += 1
-                try:
-                    yield self.sim.timeout(self.spec.serialization_time(nbytes))
-                finally:
-                    self._rx[dst_node].release(rx_req)
-                return self.sim.now - start
-        rx_req = self._rx[dst_node].request()
-        try:
-            yield rx_req
-            yield self.sim.timeout(self.spec.serialization_time(nbytes))
-        finally:
-            self._rx[dst_node].release(rx_req)
-        return self.sim.now - start
+                sim.process(_complete(on_complete, arg), name="deliver")
+            return
+        if not self.fast_path:
+            # Counted at spawn, not when the body first runs: the leg is in
+            # flight from this instant, like every other representation's.
+            self._rx_inflight[dst_node] += 1
+            sim.process(self._deliver_body(dst_node, nbytes, on_complete, arg),
+                        name="deliver")
+            return
+        fast = self.try_reserve_rx(dst_node, nbytes)
+        if fast is not None:
+            done, reservation = fast
+            sim.stats.events_elided += 3
+            done.callbacks.append(_ReservedRx(self, dst_node, reservation, on_complete, arg))
+        else:
+            self._rx_inflight[dst_node] += 1
+            sim.stats.events_elided += 1
+            _RxChain(self, dst_node, nbytes, on_complete, arg)
 
     def transfer(
         self, src_node: int, dst_node: int, nbytes: int
@@ -584,11 +588,11 @@ class Network:
         """Simulate moving ``nbytes`` from ``src_node`` to ``dst_node``.
 
         Yields simulation events; returns the completion time.  Local (same
-        node) transfers only pay the per-message overhead.  Each half takes
-        the closed-form fast path when its NIC is provably uncontended
-        (one timeout event instead of the multi-yield coroutine); the halves
-        are collapsed independently because the receiver NIC can only be
-        judged at the moment the receive leg starts.
+        node) transfers only pay the per-message overhead.  Otherwise the
+        sender leg :meth:`tx` runs first, then a blocking receiver leg, which
+        takes the closed-form reservation when the RX NIC is provably
+        uncontended at the moment it starts (the halves are collapsed
+        independently because the receiver NIC can only be judged then).
         """
         self._check_node(src_node)
         self._check_node(dst_node)
@@ -601,31 +605,87 @@ class Network:
             yield self.sim.timeout(self.spec.per_message_overhead_s)
             return self.sim.now
 
-        stats = self.sim.stats
-        fast_tx = self.try_reserve_tx(src_node, nbytes)
-        if fast_tx is not None:
-            done, req = fast_tx
-            stats.events_elided += 2
+        yield from self.tx(src_node, nbytes)
+        fast = self.try_reserve_rx(dst_node, nbytes)
+        if fast is None:
+            self._rx_inflight[dst_node] += 1
+            yield from self._rx_body(dst_node, nbytes)
+        else:
+            done, reservation = fast
+            self.sim.stats.events_elided += 2
             try:
                 yield done
             finally:
-                # finally: an interrupted caller (an aborted recovery's image
-                # fetch or replay) must release the NIC reservation, exactly
-                # like the coroutine model's try/finally does.
-                self.finish_tx(src_node, req)
-        else:
-            yield from self.tx(src_node, nbytes)
-        fast_rx = self.try_reserve_rx(dst_node, nbytes)
-        if fast_rx is not None:
-            done, req = fast_rx
-            stats.events_elided += 2
-            try:
-                yield done
-            finally:
-                self.finish_rx(dst_node, req)
-        else:
-            yield from self.rx_path(dst_node, nbytes)
+                self.finish_rx(dst_node, reservation)
         return self.sim.now
+
+    # -- coroutine model ---------------------------------------------------
+    def _tx_body(self, src_node: int, nbytes: int) -> Generator[Event, None, None]:
+        """Coroutine sender leg, already counted in ``_tx_inflight``.
+
+        Every wait sits inside ``try/finally``, so an interrupted sender
+        cancels its queued request or frees its NIC instead of leaking a
+        slot forever.
+        """
+        sim = self.sim
+        nic = self._tx[src_node]
+        fabric = self._fabric
+        req = None
+        self.total_bytes += nbytes
+        self.total_messages += 1
+        try:
+            yield sim.timeout(self.spec.per_message_overhead_s)
+            ser = self.spec.serialization_time(nbytes)
+            self._materialize_tx_hold(src_node)
+            if self.fast_path and fabric is None:
+                req = nic.acquire_nowait()
+            if req is None:
+                req = nic.request()
+                yield req
+            else:
+                # NIC free right now: the delay-zero grant is provably
+                # immediate — hold the slot and skip the grant event.
+                sim.stats.events_elided += 1
+            if fabric is None:
+                yield sim.timeout(ser)
+            else:
+                fb_req = fabric.request()
+                try:
+                    yield fb_req
+                    yield sim.timeout(ser)
+                finally:
+                    fabric.release(fb_req)
+        finally:
+            if req is not None:
+                nic.release(req)
+            self._tx_inflight[src_node] -= 1
+
+    def _rx_body(self, dst_node: int, nbytes: int) -> Generator[Event, None, None]:
+        """Coroutine receiver leg, already counted in ``_rx_inflight``."""
+        sim = self.sim
+        nic = self._rx[dst_node]
+        req = None
+        try:
+            yield sim.timeout(self.spec.latency_s)
+            if self.fast_path:
+                req = nic.acquire_nowait()
+            if req is None:
+                req = nic.request()
+                yield req
+            else:
+                # NIC free at arrival: skip the delay-zero grant event.
+                sim.stats.events_elided += 1
+            yield sim.timeout(self.spec.serialization_time(nbytes))
+        finally:
+            if req is not None:
+                nic.release(req)
+            self._rx_inflight[dst_node] -= 1
+
+    def _deliver_body(self, dst_node: int, nbytes: int, on_complete: Callable[[Any], None],
+                      arg: Any) -> Generator[Event, None, None]:
+        """Coroutine model of :meth:`deliver`'s remote leg."""
+        yield from self._rx_body(dst_node, nbytes)
+        on_complete(arg)
 
     # -- introspection -----------------------------------------------------
     def same_switch(self, a: int, b: int) -> bool:

@@ -48,6 +48,9 @@ from repro.sim.rng import RandomStreams
 COLLECTIVE_TAG_BASE = 1_000_000
 CONTROL_TAG_BASE = 2_000_000
 
+#: payload size of a protocol control message (bookmark, barrier token)
+CONTROL_MESSAGE_BYTES = 64
+
 #: hot-path alias — one global load instead of an enum attribute chain
 _APP = MessageKind.APP
 
@@ -248,30 +251,6 @@ class Inbox:
         """Re-deposit a captured inbox (checkpoint image) in its saved order."""
         for msg in messages:
             self.put(msg)
-
-
-@dataclass
-class RuntimeConfig:
-    """Behavioural switches of the runtime.
-
-    Parameters
-    ----------
-    record_deliveries:
-        Keep a global log of ``(time, src, dst, nbytes)`` for every delivered
-        application message (needed for the Figure 2 trace diagrams).
-    control_message_bytes:
-        Default payload size of protocol control messages.
-    collective_tag:
-        Base tag for collectives (separated from application point-to-point).
-    """
-
-    record_deliveries: bool = True
-    control_message_bytes: int = 64
-    collective_tag: int = COLLECTIVE_TAG_BASE
-
-    def __post_init__(self) -> None:
-        if self.control_message_bytes < 0:
-            raise ValueError("control_message_bytes must be non-negative")
 
 
 @dataclass
@@ -529,29 +508,6 @@ class ApplicationResult:
         return out
 
 
-class _FastDelivery:
-    """Completion callback of a closed-form delivery (one slotted object).
-
-    Releases the analytic RX reservation and finalises the delivery at the
-    reserved completion instant; replaces a closure + argument tuple on the
-    per-message fast path.
-    """
-
-    __slots__ = ("runtime", "net", "dst_node", "reservation", "msg")
-
-    def __init__(self, runtime: "MpiRuntime", net: Any, dst_node: int,
-                 reservation: Any, msg: Message) -> None:
-        self.runtime = runtime
-        self.net = net
-        self.dst_node = dst_node
-        self.reservation = reservation
-        self.msg = msg
-
-    def __call__(self, _ev: Event) -> None:
-        self.net.finish_rx(self.dst_node, self.reservation)
-        self.runtime._finish_delivery(self.msg)
-
-
 def _fire_inline(ev: Event) -> None:
     """Trigger ``ev`` and run its callbacks now, inside the current callback.
 
@@ -607,10 +563,11 @@ class _ControlFanout:
         if not self.done.callbacks:
             return
         runtime = self.runtime
+        net = runtime.cluster.network
         src_node = self.ctx.node_id
         if src_node != self.dst_node:
-            runtime._spawn_tx(src_node, self.size)
-        runtime._start_delivery(self.msg, self.size, src_node, self.dst_node)
+            net.send_background(src_node, self.size)
+        net.deliver(src_node, self.dst_node, self.size, runtime._finish_delivery, self.msg)
         self.sent += 1
         if self.sent < len(self.peers):
             self._build()
@@ -701,7 +658,6 @@ class MpiRuntime:
         protocol_family: Optional[Any] = None,
         rng: Optional[RandomStreams] = None,
         tracer: Optional[Tracer] = None,
-        config: Optional[RuntimeConfig] = None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
@@ -710,7 +666,6 @@ class MpiRuntime:
         self.n_ranks = n_ranks
         self.rng = rng if rng is not None else RandomStreams(0)
         self.tracer = tracer
-        self.config = config if config is not None else RuntimeConfig()
         self.protocol_family = protocol_family
 
         placement = cluster.place_ranks(n_ranks)
@@ -722,10 +677,10 @@ class MpiRuntime:
             for ctx in self.contexts:
                 ctx.protocol = protocol_family.create(ctx, self)
 
+        #: ``(time, src, dst, nbytes)`` of every delivered application
+        #: message (the Figure 2 trace diagrams and the gap fraction)
         self.deliveries: List[Tuple[float, int, int, int]] = []
-        self._record_deliveries = self.config.record_deliveries
         self._rank_processes: List[SimProcess] = []
-        self._collective_seq: Dict[int, int] = {}
         #: True once a checkpoint-request source (a coordinator) is attached;
         #: until then blocked receives need no signal wake-up condition.
         self.checkpoints_enabled = False
@@ -884,69 +839,10 @@ class MpiRuntime:
             stats.bytes_received += msg.nbytes
             if dst_ctx.protocol is not None:
                 dst_ctx.protocol.on_arrival(msg)
-            if self._record_deliveries:
-                self.deliveries.append((now, msg.src, msg.dst, msg.nbytes))
+            self.deliveries.append((now, msg.src, msg.dst, msg.nbytes))
             if dst_ctx._arrival_watchers:
                 dst_ctx._notify_arrival(msg.src)
         dst_ctx.inbox.put(msg)
-
-    def _deliver_remote(self, msg: Message, wire_bytes: int,
-                        dst_node: int) -> Generator[Event, None, None]:
-        """Coroutine delivery for a remote message already counted via ``begin_rx``."""
-        yield from self.cluster.network.rx_counted(dst_node, wire_bytes)
-        self._finish_delivery(msg)
-
-    def _deliver_local(self, msg: Message) -> Generator[Event, None, None]:
-        """Coroutine delivery for a same-node message (slow path only)."""
-        self._finish_delivery(msg)
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def _start_delivery(self, msg: Message, wire_bytes: int,
-                        src_node: int, dst_node: int) -> None:
-        """Begin background delivery of ``msg`` (fast callback path or coroutine).
-
-        Fast paths schedule at most one calendar event per delivery; the
-        events they avoid relative to the coroutine model are counted in
-        ``sim.stats.events_elided`` (local delivery elides the process
-        completion event; a remote one elides the latency timeout, the RX
-        grant and the serialisation timeout of the coroutine model).
-        """
-        sim = self.sim
-        net = self.cluster.network
-        if src_node == dst_node:
-            if net.fast_path:
-                sim.stats.fastpath_local += 1
-                sim.stats.events_elided += 1
-                sim.call_soon(self._finish_delivery, msg)
-            else:
-                sim.process(self._deliver_local(msg), name="deliver")
-            return
-        if not net.fast_path:
-            net.begin_rx(dst_node)
-            sim.process(self._deliver_remote(msg, wire_bytes, dst_node), name="deliver")
-            return
-        fast = net.try_reserve_rx(dst_node, wire_bytes)
-        if fast is not None:
-            done, reservation = fast
-            sim.stats.events_elided += 3
-            done.callbacks.append(_FastDelivery(self, net, dst_node, reservation, msg))
-        else:
-            net.start_rx(dst_node, wire_bytes, self._finish_delivery, msg)
-
-    def _spawn_tx(self, src_node: int, nbytes: int) -> None:
-        """Run the sender-side NIC path in the background (fast or coroutine).
-
-        The fast path replaces the spawned coroutine (overhead timeout, NIC
-        grant, serialisation timeout, process completion) with an event-free
-        analytic NIC hold (:meth:`~repro.cluster.network.Network.try_hold_tx`).
-        """
-        net = self.cluster.network
-        if not net.fast_path:
-            net.begin_tx(src_node)
-            self.sim.process(net.tx_counted(src_node, nbytes), name="tx")
-        elif not net.try_hold_tx(src_node, nbytes):
-            net.start_tx(src_node, nbytes)
 
     def app_send(
         self,
@@ -1019,23 +915,12 @@ class MpiRuntime:
         dst_node = self.contexts[dst].node_id
         if blocking and src_node != dst_node:
             # Sender occupied for the TX-side cost of the transfer.
-            fast = net.try_reserve_tx(src_node, wire_bytes)
-            if fast is not None:
-                done, reservation = fast
-                sim.stats.events_elided += 2
-                try:
-                    yield done
-                finally:
-                    # finally: an interrupt (failure injection) must release
-                    # the NIC reservation, exactly like the coroutine model.
-                    net.finish_tx(src_node, reservation)
-            else:
-                yield from net.tx(src_node, wire_bytes)
+            yield from net.tx(src_node, wire_bytes)
         else:
             yield Timeout(sim, net._overhead_s)
             if src_node != dst_node:
-                self._spawn_tx(src_node, wire_bytes)
-        self._start_delivery(msg, wire_bytes, src_node, dst_node)
+                net.send_background(src_node, wire_bytes)
+        net.deliver(src_node, dst_node, wire_bytes, self._finish_delivery, msg)
         stats.send_time += sim.now - start
         return msg
 
@@ -1056,7 +941,7 @@ class MpiRuntime:
         :class:`_ControlFanout`); ``peers`` must not be empty.
         """
         return _ControlFanout(self, ctx, peers, tag, kind,
-                              self.config.control_message_bytes, payload_of).done
+                              CONTROL_MESSAGE_BYTES, payload_of).done
 
     def app_recv(
         self,
@@ -1434,11 +1319,6 @@ class MpiRuntime:
         return total, replayed
 
     # ------------------------------------------------------------------ execution
-    def _collective_tag(self, base_tag: int) -> int:
-        seq = self._collective_seq.get(base_tag, 0)
-        self._collective_seq[base_tag] = seq + 1
-        return self.config.collective_tag + base_tag
-
     def _run_schedule(
         self, ctx: RankContext, steps: Sequence[Tuple[str, int, int]], tag: int
     ) -> Generator[Event, None, None]:
@@ -1452,35 +1332,8 @@ class MpiRuntime:
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown schedule action {action!r}")
 
-    # NOTE: the Compute/Send/Recv/SendRecv/Marker handlers below are shadowed
-    # by inlined copies in the _run_rank hot loop — a change to one of these
-    # five bodies must be mirrored there (the dispatch-table versions still
-    # serve execute_op() callers: protocols, tests, op subclasses).
-
-    def _op_compute(self, ctx: RankContext, op: Compute) -> Generator[Event, None, None]:
-        node = self.cluster.nodes[ctx.node_id]
-        duration = node.compute_time(op.seconds)
-        if op.jitter and node.spec.os_jitter_sigma > 0:
-            duration = self.rng.lognormal_jitter(
-                ctx.jitter_key, duration, node.spec.os_jitter_sigma
-            )
-        ctx.stats.compute_time += duration
-        if duration > 0:
-            yield Timeout(self.sim, duration)
-
-    def _op_send(self, ctx: RankContext, op: Send) -> Generator[Event, None, None]:
-        yield from self.app_send(ctx, op.dst, op.nbytes, tag=op.tag, blocking=True)
-
     def _op_isend(self, ctx: RankContext, op: Isend) -> Generator[Event, None, None]:
         yield from self.app_send(ctx, op.dst, op.nbytes, tag=op.tag, blocking=False)
-
-    def _op_recv(self, ctx: RankContext, op: Recv) -> Generator[Event, None, None]:
-        yield from self.app_recv(ctx, src=op.src, tag=op.tag)
-
-    def _op_sendrecv(self, ctx: RankContext, op: SendRecv) -> Generator[Event, None, None]:
-        yield from self.app_send(ctx, op.dst, op.send_nbytes, tag=op.tag, blocking=False)
-        if op.src is not None:
-            yield from self.app_recv(ctx, src=op.src, tag=op.tag)
 
     def _op_wait(self, ctx: RankContext, op: Wait) -> Generator[Event, None, None]:
         if op.seconds > 0:
@@ -1489,62 +1342,39 @@ class MpiRuntime:
     def _op_barrier(self, ctx: RankContext, op: Barrier) -> Generator[Event, None, None]:
         participants = op.participants or tuple(range(self.n_ranks))
         steps = coll.barrier_schedule(ctx.rank, participants)
-        yield from self._run_schedule(ctx, steps, self._collective_tag(op.tag))
+        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
 
     def _op_bcast(self, ctx: RankContext, op: Bcast) -> Generator[Event, None, None]:
         participants = op.participants or tuple(range(self.n_ranks))
         steps = coll.bcast_schedule(ctx.rank, op.root, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, self._collective_tag(op.tag))
+        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
 
     def _op_reduce(self, ctx: RankContext, op: Reduce) -> Generator[Event, None, None]:
         participants = op.participants or tuple(range(self.n_ranks))
         steps = coll.reduce_schedule(ctx.rank, op.root, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, self._collective_tag(op.tag))
+        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
 
     def _op_allreduce(self, ctx: RankContext, op: Allreduce) -> Generator[Event, None, None]:
         participants = op.participants or tuple(range(self.n_ranks))
         steps = coll.allreduce_schedule(ctx.rank, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, self._collective_tag(op.tag))
+        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
 
     def _op_allgather(self, ctx: RankContext, op: Allgather) -> Generator[Event, None, None]:
         participants = op.participants or tuple(range(self.n_ranks))
         steps = coll.allgather_schedule(ctx.rank, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, self._collective_tag(op.tag))
+        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
 
-    def _op_marker(self, ctx: RankContext, op: Marker) -> Generator[Event, None, None]:
-        ctx.stats.progress_marks.append((self.sim.now, op.label))
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    #: exact-type dispatch for the operation interpreter (isinstance fallback
-    #: in :meth:`execute_op` keeps subclassed operations working)
+    #: exact-type dispatch for the operation kinds :meth:`_run_rank` does
+    #: not interpret inline
     _OP_DISPATCH = {
-        Compute: _op_compute,
-        Send: _op_send,
         Isend: _op_isend,
-        Recv: _op_recv,
-        SendRecv: _op_sendrecv,
         Wait: _op_wait,
         Barrier: _op_barrier,
         Bcast: _op_bcast,
         Reduce: _op_reduce,
         Allreduce: _op_allreduce,
         Allgather: _op_allgather,
-        Marker: _op_marker,
     }
-
-    def execute_op(self, ctx: RankContext, op: Op) -> Generator[Event, None, None]:
-        """Interpret one application operation for ``ctx``."""
-        ctx.stats.ops_executed += 1
-        handler = self._OP_DISPATCH.get(op.__class__)
-        if handler is None:
-            for op_type, candidate in self._OP_DISPATCH.items():
-                if isinstance(op, op_type):
-                    handler = candidate
-                    break
-            else:
-                raise TypeError(f"unsupported operation type {type(op).__name__}")
-        yield from handler(self, ctx, op)
 
     def _run_rank(self, ctx: RankContext, program: Iterable[Op],
                   start_index: int = 0, fresh: bool = True) -> Generator[Event, None, None]:
@@ -1576,9 +1406,7 @@ class MpiRuntime:
                 # The five hottest operation kinds are interpreted inline — every
                 # generator frame removed here is removed from every resume of
                 # this rank (CPython walks the yield-from chain per send()).
-                # Everything else goes through the dispatch table / execute_op.
-                # These branches are verbatim copies of _op_compute/_op_send/
-                # _op_recv/_op_sendrecv/_op_marker: edits must be mirrored.
+                # Everything else goes through the dispatch table.
                 cls = op.__class__
                 stats.ops_executed += 1
                 if cls is SendRecv:
@@ -1604,10 +1432,8 @@ class MpiRuntime:
                 else:
                     handler = dispatch.get(cls)
                     if handler is None:
-                        stats.ops_executed -= 1  # execute_op counts it itself
-                        yield from self.execute_op(ctx, op)
-                    else:
-                        yield from handler(self, ctx, op)
+                        raise TypeError(f"unsupported operation type {cls.__name__}")
+                    yield from handler(self, ctx, op)
             if failures:
                 ctx.op_cursor = op_index
                 if ctx._op_sent:

@@ -38,8 +38,6 @@ def test_protocol_config_validation():
         ProtocolConfig(channel_stall_probability=1.5)
     with pytest.raises(ValueError):
         ProtocolConfig(log_copy_bandwidth=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(replay_batch_bytes=0)
 
 
 def test_protocol_config_with_overrides():

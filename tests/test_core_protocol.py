@@ -222,12 +222,15 @@ def test_checkpoint_while_blocked_in_receive_does_not_deadlock():
     assert result.makespan > 2.0
 
 
-def test_bookmark_sends_take_the_event_free_tx_hold():
+def test_bookmark_sends_take_the_event_free_tx_hold(monkeypatch):
     """A rank's bookmarks leave one overhead apart; each must pipeline onto
     the analytic TX hold instead of starting a callback chain."""
+    from repro.cluster.network import FAST_PATH_ENV
     from repro.experiments.config import ScenarioConfig
     from repro.experiments.runner import run_scenario
 
+    # a fast-path count guard: pinned on, whatever the suite's default model
+    monkeypatch.setenv(FAST_PATH_ENV, "1")
     n = 32
 
     def tx_holds(schedule):

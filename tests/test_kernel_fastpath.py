@@ -3,7 +3,8 @@
 Covers the immediate-resume queue (:meth:`Simulator.call_soon`, process
 bootstrap without boot events), lazy event names, ``SimStats`` counters,
 ``fire_at`` absolute scheduling, ``Resource.acquire_nowait`` holds, lazy TX
-holds on the network, and the signal-free receive gating of the runtime.
+holds on the network, the network's delivery and blocking sender legs on
+both network models, and the signal-free receive gating of the runtime.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.cluster.network import FAST_ETHERNET, Network
 from repro.cluster.topology import Cluster, GIDEON_300
 from repro.mpi.runtime import MpiRuntime
-from repro.sim.engine import SimStats, Simulator
+from repro.sim.engine import Interrupt, SimStats, Simulator
 from repro.sim.primitives import Event, Resource, ResourceHold, Store
 from repro.sim.rng import RandomStreams
 
@@ -269,17 +270,10 @@ def _pipelined_sends_then_contender(fast_path):
     ser = 64 / FAST_ETHERNET.bandwidth_bytes_per_s
     finished = []
 
-    def spawn_tx():  # MpiRuntime._spawn_tx
-        if not net.fast_path:
-            net.begin_tx(0)
-            sim.process(net.tx_counted(0, 64))
-        elif not net.try_hold_tx(0, 64):
-            net.start_tx(0, 64)
-
     def sender():
         for _ in range(2):
             yield sim.timeout(overhead)
-            spawn_tx()
+            net.send_background(0, 64)
 
     def contender():
         yield sim.timeout(2 * overhead + ser / 2)
@@ -311,6 +305,92 @@ def test_fabric_disables_tx_fast_path():
     net = Network(sim, spec, 2, fast_path=True)
     assert net.try_reserve_tx(0, 1000) is None
     assert not net.try_hold_tx(0, 1000)
+
+
+# --------------------------------------------------------- network message legs
+def _deliveries(fast_path):
+    """A local delivery, then two remote ones into the same RX NIC at once.
+
+    The first remote delivery finds the RX NIC free, the second finds it
+    busy and queues behind the first.  Returns each completion instant, the
+    processed calendar events and the simulator's counters.
+    """
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 3, fast_path=fast_path)
+    arrived = {}
+
+    def record(label):
+        arrived[label] = sim.now
+
+    net.deliver(0, 0, 64, record, "local")
+    net.deliver(0, 1, 115_000, record, "free")
+    net.deliver(2, 1, 64, record, "busy")
+    sim.run()
+    assert net._rx_inflight == [0, 0, 0]
+    return arrived, sim.processed_events, sim.stats
+
+
+def test_deliver_completes_at_the_same_instant_on_both_models():
+    fast, fast_events, fast_stats = _deliveries(True)
+    slow, slow_events, slow_stats = _deliveries(False)
+    bandwidth = FAST_ETHERNET.bandwidth_bytes_per_s
+    assert fast == slow
+    assert fast["local"] == 0.0
+    assert fast["free"] == FAST_ETHERNET.latency_s + 115_000 / bandwidth
+    assert fast["busy"] == fast["free"] + 64 / bandwidth
+    assert slow_stats.events_elided == 0
+    assert slow_events == fast_events + fast_stats.events_elided
+    assert fast_stats.fastpath_local == 1
+    assert fast_stats.fastpath_rx == 1
+
+
+def _kill_sender_in_tx(fast_path, queued):
+    """Kill a sender blocked in ``Network.tx``, then start a contender.
+
+    The victim sends 115 kB from node 0.  Alone, it holds the free TX NIC
+    (the reserved branch on the fast model); with ``queued`` a first sender
+    holds the NIC and the victim waits for it.  The kill comes half-way
+    through a serialisation; the contender starts right after it.  Returns
+    the contender's finish instant, the event counts and the NICs.
+    """
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 2, fast_path=fast_path)
+    overhead = FAST_ETHERNET.per_message_overhead_s
+    finished = {}
+
+    def sender(nbytes):
+        try:
+            yield from net.tx(0, nbytes)
+        except Interrupt:
+            return
+        finished[nbytes] = sim.now
+
+    if queued:
+        sim.process(sender(115_000))
+    victim = sim.process(sender(115_000))
+
+    def killer():
+        yield sim.timeout(overhead + 115_000 / FAST_ETHERNET.bandwidth_bytes_per_s / 2)
+        victim.interrupt("node-failure")
+        sim.process(sender(64))
+
+    sim.process(killer())
+    sim.run()
+    return finished[64], sim.processed_events, sim.stats, net
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["reserved", "queued"])
+def test_sender_killed_in_tx_frees_the_nic_on_both_models(queued):
+    fast_done, fast_events, fast_stats, fast_net = _kill_sender_in_tx(True, queued)
+    slow_done, slow_events, slow_stats, slow_net = _kill_sender_in_tx(False, queued)
+    for net in (fast_net, slow_net):
+        for nic in net._tx + net._rx:
+            assert nic.count == 0 and nic.queue_length == 0
+        assert net._tx_inflight == [0, 0]
+    assert fast_done == slow_done
+    # the reserved branch: victim and contender; queued: the first sender only
+    assert fast_stats.fastpath_tx == (1 if queued else 2)
+    assert slow_events == fast_events + fast_stats.events_elided
 
 
 # ----------------------------------------------------- runtime signal gating

@@ -16,7 +16,7 @@ from repro.mpi.ops import (
     Send,
     SendRecv,
 )
-from repro.mpi.runtime import MpiRuntime, RuntimeConfig
+from repro.mpi.runtime import MpiRuntime
 from repro.mpi.trace import TraceLog, TraceRecord, unordered_pair
 from repro.mpi.tracer import Tracer
 from repro.sim.engine import Simulator
@@ -380,11 +380,6 @@ def test_runtime_result_reports_finish_times_and_running_ranks():
     assert rt.running_ranks() == ()
     finish = result.per_rank_finish_times()
     assert finish[1] > finish[0]
-
-
-def test_runtime_config_validation():
-    with pytest.raises(ValueError):
-        RuntimeConfig(control_message_bytes=-1)
 
 
 @given(nbytes=st.integers(min_value=0, max_value=10_000_000))
