@@ -30,17 +30,24 @@ Closed-form fast path
 ---------------------
 When a NIC is *provably* uncontended, the multi-yield coroutine model is
 equivalent to a single timeout: overhead + serialisation on the sender side,
-latency + serialisation on the receiver side.  :meth:`try_reserve_tx` /
-:meth:`try_reserve_rx` check that proof obligation and, when it holds,
-reserve the NIC via :meth:`~repro.sim.primitives.Resource.acquire_nowait`
-so that any later (coroutine) transfer queues exactly where it would have
-queued against the coroutine model.
+latency + serialisation on the receiver side.  The proof needs more than
+"the NIC resource is idle": a transfer that has been *initiated* but has not
+yet reached the NIC (it is still in its overhead or latency phase) would
+contend later.  The ``_tx_inflight`` / ``_rx_inflight`` counters track
+initiated-but-unfinished legs per NIC — every representation counts itself
+— and the fast path requires that no *other* leg be in flight.
 
-The proof needs more than "the NIC resource is idle": a transfer that has
-been *initiated* but has not yet reached the NIC (it is still in its
-overhead or latency phase) would contend later.  The ``_tx_inflight`` /
-``_rx_inflight`` counters track initiated-but-unfinished transfers per NIC;
-the fast path requires that no *other* transfer be in flight.  Because
+The closed form then holds the NIC analytically.  The blocking legs
+(:meth:`try_reserve_tx`, :meth:`try_reserve_rx`) take a real grant via
+:meth:`~repro.sim.primitives.Resource.acquire_nowait`, because their
+``finally`` releases it.  The background TX hold of :meth:`send_background`
+and the closed-form delivery of :meth:`deliver` take none: a zero in-flight
+count already proves the NIC idle, so they only count themselves in flight.
+Their grant is materialised when a chain or coroutine leg is about to
+acquire that NIC (:meth:`_materialize_tx_hold`, :meth:`_materialize_rx_hold`),
+so the contender queues exactly where it would have queued against the
+coroutine model, and an uncontended bookmark never calls the
+:class:`~repro.sim.primitives.Resource` at all.  Because
 per-message latency and overhead are network constants, any transfer
 initiated *after* a fast reservation reaches the NIC no earlier than the
 reservation's own NIC phase, so the early hold can never steal the NIC from
@@ -97,6 +104,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.primitives import Event, Resource, ResourceHold
@@ -263,6 +271,7 @@ class _RxChain:
 
     def _on_arrival(self, _ev: Event) -> None:
         net = self.net
+        net._materialize_rx_hold(self.dst)
         req = net._rx[self.dst].acquire_nowait()
         if req is not None:
             # NIC free at arrival: skip the delay-zero grant event.
@@ -285,26 +294,39 @@ class _RxChain:
         self.on_complete(self.arg)
 
 
-class _ReservedRx:
-    """Completion callback of a closed-form delivery (one slotted object).
+class _ReservedRx(Event):
+    """A closed-form delivery: one calendar entry at its computed end time.
 
-    Releases the analytic RX reservation at its computed end time, then
-    calls ``on_complete(arg)``; replaces a closure + argument tuple on the
-    per-message fast path.
+    Holds the idle RX NIC analytically (counted in ``_rx_inflight``, parked
+    in ``_rx_hold``) until a contender materialises its grant.  When it
+    fires it leaves the in-flight count, releases a materialised grant
+    (granting the queued contender in this same callback) and calls
+    ``on_complete(arg)``.
     """
 
-    __slots__ = ("net", "dst", "req", "on_complete", "arg")
+    __slots__ = ("net", "dst", "grant", "on_complete", "arg")
 
-    def __init__(self, net: "Network", dst_node: int, req: ResourceHold,
-                 on_complete, arg) -> None:
-        self.net = net
-        self.dst = dst_node
-        self.req = req
-        self.on_complete = on_complete
-        self.arg = arg
+    def __init__(self, net: "Network", dst_node: int, end: float,
+                 on_complete: Callable[[Any], None], arg: Any) -> None:
+        # Event.__init__ and Simulator.fire_at, written out for the hot path
+        sim = self.sim = net.sim
+        self._name = self._value = self.grant = None
+        self.callbacks = [self._done]
+        self._ok = self._triggered = True
+        self._processed = self.defused = False
+        self.net, self.dst, self.on_complete, self.arg = net, dst_node, on_complete, arg
+        counter = sim._counter = sim._counter + 1
+        _heappush(sim._heap, (end, counter, self))
+        sim.stats.heap_pushes += 1
 
-    def __call__(self, _ev: Event) -> None:
-        self.net.finish_rx(self.dst, self.req)
+    def _done(self, _ev: Event) -> None:
+        net = self.net
+        dst = self.dst
+        net._rx_inflight[dst] -= 1
+        if self.grant is None:
+            net._rx_hold[dst] = None
+        else:
+            net._rx[dst].release(self.grant)
         self.on_complete(self.arg)
 
 
@@ -351,11 +373,10 @@ class Network:
         #: overhead/latency phase during which the NIC resource looks idle)
         self._tx_inflight: List[int] = [0] * n_nodes
         self._rx_inflight: List[int] = [0] * n_nodes
-        #: lazy analytic TX hold per NIC: ``(until, reservation)`` or None.
-        #: Created by :meth:`try_hold_tx`; expired lazily by the next fast
-        #: check, or materialised into a release event only when a coroutine
-        #: transfer actually contends (see :meth:`_materialize_tx_hold`).
-        self._tx_hold: List[Optional[Tuple[float, ResourceHold]]] = [None] * n_nodes
+        #: per NIC, the end time of a grant-free analytic TX hold and the
+        #: pending grant-free closed-form delivery, or None (module docstring)
+        self._tx_hold: List[Optional[float]] = [None] * n_nodes
+        self._rx_hold: List[Optional[_ReservedRx]] = [None] * n_nodes
         self._fabric: Optional[Resource] = None
         if spec.switch_capacity is not None:
             self._fabric = Resource(sim, capacity=spec.switch_capacity, name="fabric")
@@ -405,70 +426,39 @@ class Network:
         self._tx_inflight[src_node] -= 1
         self._tx[src_node].release(reservation)
 
-    def try_hold_tx(self, src_node: int, nbytes: int) -> bool:
-        """Event-free sender path for *background* transfers.
-
-        Like :meth:`try_reserve_tx`, but nobody waits for the sender side of
-        a non-blocking send, so no completion event is scheduled at all: the
-        NIC is held analytically until ``(now + overhead) + serialisation``
-        and the hold is released lazily — by the next fast-path check once it
-        has expired, or materialised into exactly one release event the
-        moment a coroutine transfer contends for the NIC.  Replaces the whole
-        spawned sender coroutine (overhead timeout, grant, serialisation
-        timeout, process completion: 4 calendar events) with zero.
-        """
-        self._expire_tx_hold(src_node)
-        if (not self.fast_path or self._fabric is not None
-                or self._tx_inflight[src_node]):
-            return False
-        req = self._tx[src_node].acquire_nowait()
-        if req is None:
-            return False
-        self._tx_inflight[src_node] += 1
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        sim = self.sim
-        sim.stats.fastpath_tx += 1
-        sim.stats.events_elided += 4
-        end = (sim.now + self._overhead_s) + nbytes / self._bandwidth
-        self._tx_hold[src_node] = (end, req)
-        return True
-
     def _expire_tx_hold(self, src_node: int) -> None:
-        """Release an analytic TX hold no transfer started now can contend with.
+        """Retire an analytic TX hold no transfer started now can contend with.
 
         That is a hold whose end time has passed, or — while it is the NIC's
         only transfer in flight — one ending no later than ``now + overhead``,
         the instant a transfer started now reaches the NIC (see the module
         docstring).
         """
-        hold = self._tx_hold[src_node]
-        if hold is None:
+        until = self._tx_hold[src_node]
+        if until is None:
             return
-        until = hold[0]
         now = self.sim.now
         if until <= now or (self._tx_inflight[src_node] == 1
                             and until <= now + self._overhead_s):
             self._tx_hold[src_node] = None
-            self.finish_tx(src_node, hold[1])
+            self._tx_inflight[src_node] -= 1
 
     def _materialize_tx_hold(self, src_node: int) -> None:
-        """Turn a live analytic TX hold into a real release event.
+        """Turn a live analytic TX hold into a real grant and release event.
 
         Called when a coroutine transfer is about to request the NIC: the
-        contender must queue until exactly the hold's end time, so the
-        deferred release is now scheduled (one event — the same release the
-        coroutine model would have performed inside its serialisation
-        timeout).
+        hold takes the grant now, so the contender queues until exactly the
+        hold's end, and its release is scheduled there (one event — the
+        release the coroutine model performs in its serialisation timeout).
         """
-        hold = self._tx_hold[src_node]
-        if hold is None:
+        until = self._tx_hold[src_node]
+        if until is None:
             return
-        until, req = hold
         self._tx_hold[src_node] = None
         if until <= self.sim.now:
-            self.finish_tx(src_node, req)
+            self._tx_inflight[src_node] -= 1
             return
+        req = self._tx[src_node].acquire_nowait()
         self.sim.stats.events_elided -= 1
         done = self.sim.fire_at(until)
         done.callbacks.append(lambda _ev: self.finish_tx(src_node, req))
@@ -496,6 +486,14 @@ class Network:
         """Release a :meth:`try_reserve_rx` reservation (at its computed end time)."""
         self._rx_inflight[dst_node] -= 1
         self._rx[dst_node].release(reservation)
+
+    def _materialize_rx_hold(self, dst_node: int) -> None:
+        """Give a pending closed-form delivery the RX NIC's grant, as if it
+        had taken it when it started (a leg is about to acquire the NIC)."""
+        reservation = self._rx_hold[dst_node]
+        if reservation is not None:
+            self._rx_hold[dst_node] = None
+            reservation.grant = self._rx[dst_node].acquire_nowait()
 
     # -- message legs ------------------------------------------------------
     def tx(self, src_node: int, nbytes: int) -> Generator[Event, None, float]:
@@ -526,32 +524,44 @@ class Network:
                 self.finish_tx(src_node, reservation)
         return sim.now - start
 
-    def send_background(self, src_node: int, nbytes: int) -> None:
+    def send_background(self, src_node: int, nbytes: int) -> bool:
         """Non-blocking sender leg: the TX NIC is busy, the sender is not.
 
-        Takes the event-free analytic hold of :meth:`try_hold_tx`, else runs
-        the coroutine model's events as a :class:`_TxChain` (eliding only the
-        process-completion event); with the fast path off it spawns the
-        sender coroutine.
+        With no other leg in flight on the NIC (after retiring an expired
+        hold), it takes an event-free analytic hold until ``(now + overhead)
+        + serialisation``, retired lazily by the next fast-path check or
+        materialised when a coroutine contends: zero calendar events instead
+        of the spawned sender's four.  Otherwise it runs the coroutine
+        model's events as a :class:`_TxChain`; with the fast path off it
+        spawns the sender coroutine.  Returns True when it took the hold.
         """
+        sim = self.sim
         if not self.fast_path:
             self._tx_inflight[src_node] += 1
-            self.sim.process(self._tx_body(src_node, nbytes), name="tx")
-        elif not self.try_hold_tx(src_node, nbytes):
-            self._tx_inflight[src_node] += 1
-            self.total_bytes += nbytes
-            self.total_messages += 1
-            self.sim.stats.events_elided += 1
-            _TxChain(self, src_node, nbytes)
+            sim.process(self._tx_body(src_node, nbytes), name="tx")
+            return False
+        self._expire_tx_hold(src_node)
+        self._tx_inflight[src_node] += 1
+        self.total_bytes += nbytes
+        self.total_messages += 1
+        stats = sim.stats
+        if self._fabric is None and self._tx_inflight[src_node] == 1:
+            stats.fastpath_tx += 1
+            stats.events_elided += 4
+            self._tx_hold[src_node] = (sim.now + self._overhead_s) + nbytes / self._bandwidth
+            return True
+        stats.events_elided += 1
+        _TxChain(self, src_node, nbytes)
+        return False
 
     def deliver(self, src_node: int, dst_node: int, nbytes: int,
                 on_complete: Callable[[Any], None], arg: Any) -> None:
         """Receiver leg of a message: calls ``on_complete(arg)`` on arrival.
 
         A same-node message completes at once (through the immediate queue);
-        a remote one pays latency + RX NIC serialisation, as the closed-form
-        reservation of :meth:`try_reserve_rx` when the RX NIC is provably
-        uncontended, else as an :class:`_RxChain` (eliding only the
+        a remote one pays latency + RX NIC serialisation, as one grant-free
+        :class:`_ReservedRx` calendar entry when no other leg is in flight on
+        the RX NIC, else as an :class:`_RxChain` (eliding only the
         process-completion event).  With the fast path off each delivery is
         a spawned coroutine.
         """
@@ -572,11 +582,15 @@ class Network:
             sim.process(self._deliver_body(dst_node, nbytes, on_complete, arg),
                         name="deliver")
             return
-        fast = self.try_reserve_rx(dst_node, nbytes)
-        if fast is not None:
-            done, reservation = fast
-            sim.stats.events_elided += 3
-            done.callbacks.append(_ReservedRx(self, dst_node, reservation, on_complete, arg))
+        if not self._rx_inflight[dst_node]:
+            # No leg in flight: the RX NIC is idle (every leg counts itself).
+            self._rx_inflight[dst_node] += 1
+            stats = sim.stats
+            stats.fastpath_rx += 1
+            stats.events_elided += 3
+            self._rx_hold[dst_node] = _ReservedRx(
+                self, dst_node, (sim.now + self._latency_s) + nbytes / self._bandwidth,
+                on_complete, arg)
         else:
             self._rx_inflight[dst_node] += 1
             sim.stats.events_elided += 1
@@ -668,6 +682,7 @@ class Network:
         try:
             yield sim.timeout(self.spec.latency_s)
             if self.fast_path:
+                self._materialize_rx_hold(dst_node)
                 req = nic.acquire_nowait()
             if req is None:
                 req = nic.request()

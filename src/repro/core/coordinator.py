@@ -153,14 +153,18 @@ class CheckpointCoordinator:
             self.report.skipped_waves += 1
             return None
 
-        # Partition the running ranks into coordination groups.
+        # Partition the running ranks into coordination groups.  A rank's
+        # participants are the running members of its group, so they are
+        # computed once per group.
         groups: Dict[Tuple[int, ...], List[int]] = {}
+        participants_of: Dict[int, Tuple[int, ...]] = {}
         for rank in running:
-            if self.target_groups is not None:
-                if self.family.group_id_of(rank) not in self.target_groups:
-                    continue
-            participants = self.family.participants_for(rank, running)
-            groups.setdefault(participants, []).append(rank)
+            group_id = self.family.group_id_of(rank)
+            if self.target_groups is not None and group_id not in self.target_groups:
+                continue
+            if group_id not in participants_of:
+                participants_of[group_id] = self.family.participants_for(rank, running)
+            groups.setdefault(participants_of[group_id], []).append(rank)
         # Recovery-aware scheduling: a group that is mid-recovery (some member
         # killed, rolled back or not yet relaunched) skips *its own* tick —
         # mpirun does not ask a group to checkpoint while restoring it — and

@@ -145,11 +145,8 @@ class GroupRankProtocol(RankProtocol):
             yield self.runtime.control_fanout(self.ctx, others, go_tag)
         else:
             yield self.runtime.control_fanout(self.ctx, (leader,), ready_tag)
-            yield from self.runtime.control_recv(self.ctx, src=leader, tag=go_tag)
-
-    def _drain_bookmark(self, msg: "Message") -> "Event":
-        """Event firing once every byte ``msg``'s bookmark announces has arrived."""
-        return self.ctx.wait_for_received(msg.src, int(msg.payload or 0))
+            # only the leader sends ``go_tag`` to this rank
+            yield self.runtime.control_gather(self.ctx, 1, go_tag)
 
     def checkpoint(self, request: CheckpointRequest) -> Generator["Event", Any, CheckpointRecord]:
         """Run the group-coordinated checkpoint (Algorithm 1, checkpoint part)."""
@@ -186,10 +183,10 @@ class GroupRankProtocol(RankProtocol):
         # Per-channel quiesce work (crtcp bookmark handling, TCP drain) and the
         # occasional stall — the term that makes global coordination expensive.
         quiesce = len(others) * cfg.per_channel_quiesce_s
-        for peer in others:
-            if cfg.channel_stall_probability > 0 and rng.bernoulli(
-                f"ckpt-stall:rank{ctx.rank}", cfg.channel_stall_probability
-            ):
+        if cfg.channel_stall_probability > 0 and others:
+            stalls = rng.bernoulli_count(f"ckpt-stall:rank{ctx.rank}",
+                                         cfg.channel_stall_probability, len(others))
+            for _ in range(stalls):
                 quiesce += rng.exponential(f"ckpt-stall-len:rank{ctx.rank}", cfg.channel_stall_s)
         if cfg.unexpected_delay_probability > 0 and rng.bernoulli(
             f"ckpt-delay:rank{ctx.rank}", cfg.unexpected_delay_probability
@@ -201,7 +198,7 @@ class GroupRankProtocol(RankProtocol):
         # Receive every member's bookmark and drain in-transit intra-group data.
         if others:
             yield runtime.control_gather(ctx, len(others), bookmark_tag,
-                                         on_message=self._drain_bookmark)
+                                         on_message=ctx.wait_for_bookmark)
 
         # Entry barrier: all members ready to dump.
         yield from self._group_barrier(

@@ -16,7 +16,7 @@ process.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +40,7 @@ from repro.mpi.ops import (
     Wait,
 )
 from repro.mpi.tracer import Tracer
-from repro.sim.engine import Interrupt, SimProcess, Simulator
+from repro.sim.engine import Interrupt, SimProcess, SimulationError, Simulator
 from repro.sim.primitives import Event, Timeout, _fire_event_now
 from repro.sim.rng import RandomStreams
 
@@ -56,25 +56,21 @@ _APP = MessageKind.APP
 
 
 class Inbox:
-    """Indexed per-rank message buffer with blocking, tag-matched ``get``.
+    """Indexed per-rank message buffer: tag-matched ``get`` plus a control mailbox.
 
     Replaces the predicate-scan :class:`~repro.sim.primitives.Store` on the
-    runtime's hottest path.  Every buffered message sits in two indexes, and
-    each drops a key as soon as its last message leaves, so both hold live
-    entries only:
+    runtime's hottest path.  Application messages sit in ``_buckets``, which
+    maps the exact ``(kind, src, tag)`` channel to a deque in delivery order
+    and drops a key once it drains: an exact receive is one dictionary lookup
+    and a deque pop, and a wildcard receive scans the live buckets.
 
-    * ``_buckets`` maps the exact ``(kind, src, tag)`` channel to a deque in
-      delivery order: a fully specified receive is one dictionary lookup and
-      a deque pop.
-    * ``_any_source`` maps ``(kind, tag)`` to an ``OrderedDict`` from arrival
-      stamp to message, in delivery order: an ``ANY_SOURCE`` receive pops its
-      oldest entry, and any other receive deletes its message by stamp.
-
-    Wildcard receives are not rare.  NORM collects every bookmark and barrier
-    token, and Chandy–Lamport every marker, with an ``ANY_SOURCE`` receive
-    (66 k of the 80 k receives of the 128-rank NORM HPL benchmark run), and
-    each of them is O(1).  Only patterns without a ``kind`` or a ``tag`` (a
-    user ``Recv(tag=None)``) still scan, over the live buckets.
+    Control and marker messages never enter the buckets: each is consumed by
+    the one ``control_gather`` of its ``(kind, tag)``.  Per ``(kind, tag)``
+    the mailbox holds the buffered messages in delivery order (``_mail``) and
+    at most one posted consumer (``_posted``); ``MpiRuntime._finish_delivery``
+    hands an arriving message over or buffers it, and :meth:`take_control`
+    takes or posts.  A hand-off is one append to the immediate queue, the
+    slot ``Store._dispatch`` wakes a getter in, and counts as a store wake-up.
 
     Semantics are bit-identical to the seed list-scan store:
 
@@ -82,8 +78,7 @@ class Inbox:
     * **Global delivery order for wildcards** — every buffered message
       carries a per-inbox arrival stamp; a wildcard receive takes the
       *earliest-delivered* match, exactly what the first-match list scan
-      returned.  The oldest entry of a ``(kind, tag)`` index is the head of
-      its channel's bucket, because each bucket is in delivery order.
+      returned.
     * **Waiter order** — blocked getters are woken in registration order
       through the simulator's immediate queue, exactly like
       ``Store._dispatch`` (``stats.store_wakeups`` counts the same events).
@@ -91,25 +86,27 @@ class Inbox:
       buckets merged by arrival stamp, so ``capture_resume``'s inbox capture
       lists messages exactly as the seed's insertion-ordered ``items`` did.
 
-    ``SimStats`` counts the wildcard receives, the buckets the remaining scan
-    visits and the most live buckets one inbox held; exact receives pay for
-    none of them.
+    ``len(inbox)`` counts buffered messages of both kinds.  ``SimStats``
+    counts the wildcard receives, the buckets their scan visits and the
+    most live buckets one inbox held; exact receives pay for none of them.
     """
 
-    __slots__ = ("sim", "rank", "_buckets", "_any_source", "_waiters", "_arrival",
-                 "_n_items")
+    __slots__ = ("sim", "rank", "_buckets", "_waiters", "_arrival", "_n_items",
+                 "_mail", "_posted")
 
     def __init__(self, sim: Simulator, rank: int) -> None:
         self.sim = sim
         self.rank = rank
         #: (kind, src, tag) -> non-empty deque of messages in delivery order
         self._buckets: Dict[Tuple[Any, int, int], deque] = {}
-        #: (kind, tag) -> non-empty {arrival stamp: message} in delivery order
-        self._any_source: Dict[Tuple[Any, int], OrderedDict] = {}
         #: blocked getters in registration order: (event, kind, src, tag)
         self._waiters: List[Tuple[Event, Any, Optional[int], Optional[int]]] = []
         self._arrival = 0
         self._n_items = 0
+        #: (kind, tag) -> non-empty deque of control messages in delivery order
+        self._mail: Dict[Tuple[Any, int], deque] = {}
+        #: (kind, tag) -> the consumer waiting for its next control message
+        self._posted: Dict[Tuple[Any, int], Callable[[Message], None]] = {}
 
     def __len__(self) -> int:
         return self._n_items
@@ -148,10 +145,6 @@ class Inbox:
             if len(buckets) > stats.inbox_peak_buckets:
                 stats.inbox_peak_buckets = len(buckets)
         bucket.append(msg)
-        index = self._any_source.get((kind, tag))
-        if index is None:
-            index = self._any_source[kind, tag] = OrderedDict()
-        index[arrival] = msg
         self._n_items += 1
 
     # -- get ---------------------------------------------------------------
@@ -185,15 +178,10 @@ class Inbox:
         return ev
 
     def _take(self, key: Tuple[Any, int, int], bucket: deque) -> Message:
-        """Remove the head of the live ``bucket`` at ``key`` from both indexes."""
+        """Remove the head of the live ``bucket`` at ``key``."""
         msg = bucket.popleft()
         if not bucket:
             del self._buckets[key]
-        index_key = (key[0], key[2])
-        index = self._any_source[index_key]
-        del index[msg._arrival]
-        if not index:
-            del self._any_source[index_key]
         self._n_items -= 1
         return msg
 
@@ -204,14 +192,6 @@ class Inbox:
         tag: Optional[int],
     ) -> Optional[Message]:
         """Earliest-delivered buffered message matching a wildcard pattern."""
-        if kind is not None and tag is not None:
-            # ANY_SOURCE: the oldest message of (kind, tag) heads its bucket
-            index = self._any_source.get((kind, tag))
-            if index is None:
-                return None
-            msg = next(iter(index.values()))
-            key = (kind, msg.src, tag)
-            return self._take(key, self._buckets[key])
         buckets = self._buckets
         self.sim.stats.inbox_buckets_scanned += len(buckets)
         best_key = None
@@ -237,6 +217,28 @@ class Inbox:
         sim = self.sim
         sim.stats.store_wakeups += 1
         sim._immediate.append((_fire_event_now, ev))
+
+    # -- control mailbox ---------------------------------------------------
+    def take_control(self, kind: MessageKind, tag: int,
+                     consumer: Callable[[Message], None]) -> None:
+        """Hand ``consumer`` the oldest buffered ``(kind, tag)`` control message
+        through the immediate queue, or post it (one per key) for the next."""
+        key = (kind, tag)
+        mail = self._mail
+        if key in mail:
+            queue = mail[key]
+            msg = queue.popleft()
+            if not queue:
+                del mail[key]
+            self._n_items -= 1
+            sim = self.sim
+            sim.stats.store_wakeups += 1
+            sim._immediate.append((consumer, msg))
+        elif key in self._posted:
+            raise RuntimeError(f"rank {self.rank}: a consumer of {kind.value} tag {tag} "
+                               "is already posted")
+        else:
+            self._posted[key] = consumer
 
     # -- capture / restore (live failure injection) ------------------------
     def items_in_order(self) -> List[Message]:
@@ -423,13 +425,17 @@ class RankContext:
         return request
 
     # -- arrival watching (drain support) ---------------------------------------
-    def wait_for_received(self, src: int, threshold: int) -> Event:
-        """Event firing once R_src (arrived bytes from ``src``) reaches ``threshold``."""
+    def wait_for_bookmark(self, msg: Message) -> Event:
+        """Event firing once R from ``msg``'s sender reaches the S its bookmark
+        announces.  If the bytes are in, it is a zero-delay ``Timeout``: the
+        ``(now, counter)`` entry a fresh event's ``succeed()`` would push."""
+        src = msg.src
+        threshold = msg.payload or 0
+        received = self.account._received.get(src, 0)  # R_src, read inline: hot path
+        if received >= threshold:
+            return Timeout(self.sim, 0.0, received, "drain")
         ev = Event(self.sim, name="drain")
-        if self.account.received_from(src) >= threshold:
-            ev.succeed(self.account.received_from(src))
-        else:
-            self._arrival_watchers.append((src, threshold, ev))
+        self._arrival_watchers.append((src, threshold, ev))
         return ev
 
     def _notify_arrival(self, src: int) -> None:
@@ -532,15 +538,19 @@ class _ControlFanout:
     then fires with no effect, as the loop's would.
     """
 
-    __slots__ = ("runtime", "ctx", "peers", "tag", "kind", "size", "payload_of",
-                 "sent", "msg", "dst_node", "done")
+    __slots__ = ("runtime", "ctx", "peers", "n_peers", "tag", "kind", "size",
+                 "payload_of", "sent", "msg", "dst_node", "done")
 
     def __init__(self, runtime: "MpiRuntime", ctx: RankContext, peers: Sequence[int],
                  tag: int, kind: MessageKind, size: int,
                  payload_of: Optional[Callable[[int], Any]]) -> None:
+        for dst in peers:
+            if not 0 <= dst < runtime.n_ranks:
+                raise ValueError(f"destination rank {dst} out of range")
         self.runtime = runtime
         self.ctx = ctx
         self.peers = peers
+        self.n_peers = len(peers)
         self.tag = tag
         self.kind = kind
         self.size = size
@@ -553,11 +563,15 @@ class _ControlFanout:
         runtime = self.runtime
         dst = self.peers[self.sent]
         payload = self.payload_of(dst) if self.payload_of is not None else None
-        self.msg = runtime._make_message(self.ctx.rank, dst, self.size, self.tag,
-                                         self.kind, payload=payload)
-        self.dst_node = runtime.contexts[dst].node_id
-        Timeout(runtime.sim, runtime.cluster.network._overhead_s).callbacks.append(
-            self._on_overhead)
+        sim = runtime.sim
+        msg = self.msg = fast_message(self.ctx.rank, dst, self.size, self.tag, self.kind,
+                                      None, payload, sim.now)
+        dst_ctx = runtime.contexts[dst]
+        if runtime.failures_enabled:
+            msg.src_epoch = self.ctx.rollback_epoch
+            msg.dst_epoch = dst_ctx.rollback_epoch
+        self.dst_node = dst_ctx.node_id
+        Timeout(sim, runtime.cluster.network._overhead_s).callbacks.append(self._on_overhead)
 
     def _on_overhead(self, _ev: Event) -> None:
         if not self.done.callbacks:
@@ -569,7 +583,7 @@ class _ControlFanout:
             net.send_background(src_node, self.size)
         net.deliver(src_node, self.dst_node, self.size, runtime._finish_delivery, self.msg)
         self.sent += 1
-        if self.sent < len(self.peers):
+        if self.sent < self.n_peers:
             self._build()
         else:
             _fire_inline(self.done)
@@ -579,12 +593,13 @@ class _ControlGather:
     """Callback chain receiving ``count`` control messages from any source.
 
     Replays, event for event, a loop of ``ANY_SOURCE`` control receives: it
-    makes the same ``Inbox.get`` calls at the same instants, and after each
-    message calls ``on_message(msg)``, which may return one event to wait on
-    (the bookmark drain) before the next get.  ``done`` fires inline in the
-    callback where the loop would have moved on.  Once the receiver stops
-    waiting on ``done`` the chain ends: the pending get or drain then fires
-    with no effect, as the loop's would.
+    takes each message from the inbox's control mailbox at the instant the
+    loop's receive would have matched it, and after each message calls
+    ``on_message(msg)``, which may return one event to wait on (the bookmark
+    drain) before the next receive.  ``done`` fires inline in the callback
+    where the loop would have moved on.  Once the receiver stops waiting on
+    ``done`` the chain ends: a message already handed over or a pending
+    drain then fires with no effect, as the loop's would.
 
     ``done``'s lazy name reports the gather's progress and any pending
     drain, so a wedged rank's ``SimProcess.waiting_on`` says what it waits
@@ -603,30 +618,29 @@ class _ControlGather:
         self.got = 0
         self.wait: Optional[Event] = None
         self.done = Event(ctx.sim, self._describe)
-        ctx.inbox.get(kind, None, tag).callbacks.append(self._on_message)
+        ctx.inbox.take_control(kind, tag, self._on_message)
 
-    def _on_message(self, ev: Event) -> None:
+    def _on_message(self, msg: Message) -> None:
         if not self.done.callbacks:
             return
         self.got += 1
         if self.on_message is not None:
-            wait = self.on_message(ev._value)
+            wait = self.on_message(msg)
             if wait is not None:
                 self.wait = wait
                 wait.callbacks.append(self._on_ready)
                 return
-        self._next()
+        if self.got < self.count:
+            self.ctx.inbox.take_control(self.kind, self.tag, self._on_message)
+        else:
+            _fire_inline(self.done)
 
     def _on_ready(self, _ev: Event) -> None:
         if not self.done.callbacks:
             return
         self.wait = None
-        self._next()
-
-    def _next(self) -> None:
         if self.got < self.count:
-            self.ctx.inbox.get(self.kind, None, self.tag).callbacks.append(
-                self._on_message)
+            self.ctx.inbox.take_control(self.kind, self.tag, self._on_message)
         else:
             _fire_inline(self.done)
 
@@ -818,7 +832,10 @@ class MpiRuntime:
         return msg
 
     def _finish_delivery(self, msg: Message) -> None:
-        """Terminal stage of a delivery: accounting, protocol hook, inbox."""
+        """Terminal stage of a delivery: accounting, protocol hook, inbox.
+
+        A control message goes to the inbox's control mailbox instead.
+        """
         now = self.sim.now
         dst_ctx = self.contexts[msg.dst]
         if self.failures_enabled and (
@@ -832,16 +849,34 @@ class MpiRuntime:
             self.dropped_messages += 1
             return
         msg.arrived_at = now
-        if msg.kind is _APP:
-            dst_ctx.account.add_received(msg.src, msg.nbytes)
-            stats = dst_ctx.stats
-            stats.messages_received += 1
-            stats.bytes_received += msg.nbytes
-            if dst_ctx.protocol is not None:
-                dst_ctx.protocol.on_arrival(msg)
-            self.deliveries.append((now, msg.src, msg.dst, msg.nbytes))
-            if dst_ctx._arrival_watchers:
-                dst_ctx._notify_arrival(msg.src)
+        if msg.kind is not _APP:
+            # The control mailbox: hand the message to the consumer posted
+            # for its (kind, tag), or buffer it until one is posted.
+            inbox = dst_ctx.inbox
+            key = (msg.kind, msg.tag)
+            posted = inbox._posted
+            if key in posted:
+                consumer = posted[key]
+                del posted[key]
+                self.sim.stats.store_wakeups += 1
+                self.sim._immediate.append((consumer, msg))
+                return
+            mail = inbox._mail
+            if key in mail:
+                mail[key].append(msg)
+            else:
+                mail[key] = deque((msg,))
+            inbox._n_items += 1
+            return
+        dst_ctx.account.add_received(msg.src, msg.nbytes)
+        stats = dst_ctx.stats
+        stats.messages_received += 1
+        stats.bytes_received += msg.nbytes
+        if dst_ctx.protocol is not None:
+            dst_ctx.protocol.on_arrival(msg)
+        self.deliveries.append((now, msg.src, msg.dst, msg.nbytes))
+        if dst_ctx._arrival_watchers:
+            dst_ctx._notify_arrival(msg.src)
         dst_ctx.inbox.put(msg)
 
     def app_send(
@@ -997,18 +1032,6 @@ class MpiRuntime:
             ctx._op_consumed.append(msg)
         ctx.stats.recv_wait_time += self.sim.now - start
         return msg
-
-    def control_recv(
-        self,
-        ctx: RankContext,
-        src: Optional[int] = None,
-        tag: Optional[int] = None,
-        kind: MessageKind = MessageKind.CONTROL,
-    ) -> Generator[Event, None, Message]:
-        """Blocking receive of a control/marker message (never interrupted)."""
-        get_ev = ctx.inbox.get(kind, src, tag)
-        yield get_ev
-        return get_ev.value
 
     def control_gather(
         self,
@@ -1469,21 +1492,44 @@ class MpiRuntime:
             self._rank_processes.append(proc)
         return self._rank_processes
 
+    def _run_until(self, done: Event, limit_s: Optional[float]) -> None:
+        """Run until ``done``; a deadlock or the limit ends with a wait-for report."""
+        try:
+            finished = self.sim.run_until_event(done, limit=limit_s)
+        except SimulationError as exc:
+            raise SimulationError(f"{exc}\n{self._hang_report()}") from exc
+        if not finished:
+            raise RuntimeError(f"application did not finish within {limit_s} simulated "
+                               f"seconds\n{self._hang_report()}")
+
+    def _hang_report(self) -> str:
+        """Per unfinished rank (the first 8): operations executed, the event
+        its process waits on (a gather names its progress and pending drain)
+        and the ``(kind, src, tag)`` of every posted receive."""
+        blocked = [ctx for ctx in self.contexts if not ctx.finished]
+        lines = [f"{len(blocked)} of {self.n_ranks} ranks unfinished:"]
+        for ctx in blocked[:8]:
+            receives = "".join(f"; posted receive ({getattr(kind, 'value', kind)}, "
+                               f"src={src}, tag={tag})"
+                               for _, kind, src, tag in ctx.inbox._waiters)
+            lines.append(f"  rank {ctx.rank}: {ctx.stats.ops_executed} ops executed, waiting "
+                         f"on {self._rank_processes[ctx.rank].waiting_on!r}{receives}")
+        return "\n".join(lines)
+
     def run_to_completion(self, limit_s: Optional[float] = None) -> ApplicationResult:
         """Run the simulation until every rank's script has finished.
 
         With a failure injector attached, rank processes may be killed and
         re-created mid-run, so the wait set is rebuilt whenever it drains:
         in-flight recovery orchestrations are waited on alongside the rank
-        processes until every context reports its script finished.
+        processes until every context reports its script finished.  A
+        deadlock or the limit ends with :meth:`_hang_report` appended
+        to the error.
         """
         if not self._rank_processes:
             raise RuntimeError("launch() must be called before run_to_completion()")
         if not self.failures_enabled:
-            done = self.sim.all_of(self._rank_processes)
-            if not self.sim.run_until_event(done, limit=limit_s):
-                raise RuntimeError(
-                    f"application did not finish within {limit_s} simulated seconds")
+            self._run_until(self.sim.all_of(self._rank_processes), limit_s)
         else:
             while not all(ctx.finished for ctx in self.contexts):
                 waits = [p for p in self._rank_processes if not p._processed]
@@ -1493,10 +1539,7 @@ class MpiRuntime:
                     raise RuntimeError(
                         f"ranks {unfinished[:8]} neither finished nor recovering "
                         "(a failure was injected but recovery never relaunched them)")
-                done = self.sim.all_of(waits)
-                if not self.sim.run_until_event(done, limit=limit_s):
-                    raise RuntimeError(
-                        f"application did not finish within {limit_s} simulated seconds")
+                self._run_until(self.sim.all_of(waits), limit_s)
         makespan = max(
             ctx.stats.finished_at for ctx in self.contexts if ctx.stats.finished_at is not None
         )

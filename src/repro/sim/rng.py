@@ -67,6 +67,16 @@ class RandomStreams:
             raise ValueError("p must be in [0, 1]")
         return bool(self.stream(name).random() < p)
 
+    def bernoulli_count(self, name: str, p: float, trials: int) -> int:
+        """Successes among ``trials`` biased coin flips, drawn in one call.
+
+        Consumes the stream exactly like ``trials`` calls of :meth:`bernoulli`:
+        ``Generator.random(k)`` yields the doubles of ``k`` scalar draws.
+        """
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        return int((self.stream(name).random(trials) < p).sum())
+
     def integers(self, name: str, low: int, high: int) -> int:
         """One integer draw in ``[low, high)``."""
         return int(self.stream(name).integers(low, high))

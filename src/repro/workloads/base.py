@@ -276,9 +276,10 @@ class Workload:
                     elif isinstance(op, SendRecv):
                         sends.append(Isend(dst=owner[op.dst],
                                            nbytes=op.send_nbytes, tag=op.tag))
-                        recvs.append(Recv(
-                            src=owner[op.src] if op.src is not None else None,
-                            tag=op.tag))
+                        # src=None is a send-only exchange (as _run_rank
+                        # runs it), not an ANY_SOURCE receive
+                        if op.src is not None:
+                            recvs.append(Recv(src=owner[op.src], tag=op.tag))
                     elif isinstance(op, Recv):
                         recvs.append(replace(
                             op,

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.elastic import measured_totals
 from repro.experiments.runner import build_workload
+from repro.mpi.ops import Compute, Isend, Marker, Recv, SendRecv
+from repro.workloads.base import Workload
 from repro.workloads.domain import Domain, Partition, RepartitionPlan, WorkUnit
 
 
@@ -104,6 +106,39 @@ def test_identity_partition_equals_legacy_script(name):
             assert wl.memory_bytes(rank) == wl.native_memory_bytes(rank)
     finally:
         wl.set_partition(Partition.identity(wl.n_units))
+
+
+class _SendOnlyExchange(Workload):
+    """Two units per step: unit 0 exchanges with unit 1, which only sends back."""
+
+    name = "send-only"
+
+    def native_program(self, unit):
+        for step in range(2):
+            yield Marker(label=f"step{step}")
+            yield Compute(seconds=0.1)
+            if unit == 0:
+                yield SendRecv(dst=1, send_nbytes=64, src=1, tag=1)
+            else:
+                yield SendRecv(dst=0, send_nbytes=64, src=None, tag=1)
+
+    def native_memory_bytes(self, unit):
+        return 1 << 20
+
+
+def test_merge_keeps_a_send_only_exchange_send_only():
+    """A ``SendRecv`` without ``src`` sends and receives nothing: the merged
+    script has exactly as many receives as the native scripts, and no
+    ``ANY_SOURCE`` receive that could steal a later exact receive's message."""
+    wl = _SendOnlyExchange(2)
+    native = [op for unit in range(2) for op in wl.native_program(unit)]
+    native_recvs = sum(1 for op in native if isinstance(op, SendRecv) and op.src is not None)
+    wl.set_partition(Partition.block(2, 1))
+    merged = list(wl.program(0))
+    recvs = [op for op in merged if isinstance(op, Recv)]
+    assert len(recvs) == native_recvs == 2
+    assert all(op.src is not None for op in recvs)
+    assert sum(op.nbytes for op in merged if isinstance(op, Isend)) == 4 * 64
 
 
 def test_total_operations_cached_and_invalidated():

@@ -38,8 +38,7 @@ from repro.core.coordinator import CheckpointCoordinator
 from repro.core.protocol import _TAG_BOOKMARK, _ctrl_tag
 from repro.experiments.config import QUICK, FailureSpec, ScenarioConfig
 from repro.experiments.runner import build_family, build_workload, run_scenario
-from repro.mpi.messages import MessageKind
-from repro.mpi.runtime import Inbox, MpiRuntime
+from repro.mpi.runtime import Inbox, MpiRuntime, _ControlFanout
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -240,23 +239,35 @@ def _log_control(monkeypatch):
     """Log every control message built and every one an inbox hands out.
 
     Entries are ``(what, rank, peer, time, tag)``: ``("built", src, dst,
-    ...)`` and ``("taken", receiving rank, src, ...)``.
+    ...)`` when a fan-out builds a message, and ``("taken", receiving rank,
+    src, ...)`` when the control mailbox hands one to a consumer — at
+    delivery to a posted consumer, or when a consumer takes a buffered one.
     """
     log = []
-    make, fire = MpiRuntime._make_message, Inbox._fire
+    build, finish, take = (_ControlFanout._build, MpiRuntime._finish_delivery,
+                           Inbox.take_control)
 
-    def logged_make(self, src, dst, nbytes, tag, kind, piggyback=None, payload=None):
-        if kind is not MessageKind.APP:
-            log.append(("built", src, dst, self.sim.now, tag))
-        return make(self, src, dst, nbytes, tag, kind, piggyback, payload)
+    def logged_build(self):
+        build(self)
+        msg = self.msg
+        log.append(("built", msg.src, msg.dst, msg.sent_at, msg.tag))
 
-    def logged_fire(self, ev, msg):
-        if msg.kind is not MessageKind.APP:
-            log.append(("taken", self.rank, msg.src, self.sim.now, msg.tag))
-        fire(self, ev, msg)
+    def logged_finish(self, msg):
+        inbox = self.contexts[msg.dst].inbox
+        posted = (msg.kind, msg.tag) in inbox._posted
+        finish(self, msg)
+        if posted and (msg.kind, msg.tag) not in inbox._posted:
+            log.append(("taken", msg.dst, msg.src, self.sim.now, msg.tag))
 
-    monkeypatch.setattr(MpiRuntime, "_make_message", logged_make)
-    monkeypatch.setattr(Inbox, "_fire", logged_fire)
+    def logged_take(self, kind, tag, consumer):
+        mail = self._mail.get((kind, tag))
+        if mail:
+            log.append(("taken", self.rank, mail[0].src, self.sim.now, tag))
+        take(self, kind, tag, consumer)
+
+    monkeypatch.setattr(_ControlFanout, "_build", logged_build)
+    monkeypatch.setattr(MpiRuntime, "_finish_delivery", logged_finish)
+    monkeypatch.setattr(Inbox, "take_control", logged_take)
     return log
 
 

@@ -1,9 +1,9 @@
-"""Indexed inbox matching and the lazy-piggyback message path.
+"""Indexed inbox matching, the control mailbox and the lazy-piggyback path.
 
 The PR 7 kernel tier replaced the seed's predicate-scan ``Store`` inbox with
 per-``(kind, src, tag)`` buckets (:class:`repro.mpi.runtime.Inbox`), which
-now drop a bucket as soon as it drains and index ``ANY_SOURCE`` receives by
-``(kind, tag)`` in delivery order.  These tests pin the semantics the indexes
+now drop a bucket as soon as it drains; control messages bypass the buckets
+through a per-``(kind, tag)`` mailbox.  These tests pin the semantics both
 must preserve bit-for-bit:
 
 * FIFO order within one ``(src, tag)`` channel,
@@ -14,8 +14,10 @@ must preserve bit-for-bit:
   delivery order (what the seed's insertion-ordered list scan produced),
   including the mid-receive limbo message, and surviving a rollback restore,
 * every get, put and wake-up agreeing with the seed ``Store`` on random
-  interleavings, with no drained bucket or index entry left behind,
-* a NORM run issuing its wildcard receives through the index, never the scan,
+  interleavings, with no drained bucket left behind,
+* the control mailbox handing messages over in delivery order, through the
+  immediate queue, to at most one posted consumer per ``(kind, tag)``, and a
+  NORM run sending every bookmark and barrier token through it,
 * no piggyback dict allocated on the no-metadata send path.
 """
 
@@ -219,17 +221,9 @@ def _pattern(kind, src, tag):
                       and (tag is None or m.tag == tag))
 
 
-def assert_indexes_consistent(inbox):
-    """No drained bucket or index entry; the index holds exactly the buffer."""
+def assert_buckets_consistent(inbox):
+    """No drained bucket; the length counts exactly the buffered messages."""
     assert all(inbox._buckets.values())
-    assert all(inbox._any_source.values())
-    by_kind_tag = defaultdict(list)
-    for msg in inbox.items_in_order():
-        by_kind_tag[msg.kind, msg.tag].append(msg)
-    assert {key: list(index.values()) for key, index in inbox._any_source.items()} \
-        == dict(by_kind_tag)
-    for index in inbox._any_source.values():
-        assert list(index) == [m._arrival for m in index.values()]
     assert len(inbox) == sum(map(len, inbox._buckets.values()))
 
 
@@ -256,24 +250,102 @@ def test_inbox_matches_seed_store_on_random_interleavings(ops):
         assert len(inbox) == len(store)
         assert [m.seq for m in inbox.items_in_order()] == [m.seq for m in store.items]
         assert len(inbox._waiters) == len(store._getters)
-        assert_indexes_consistent(inbox)
+        assert_buckets_consistent(inbox)
 
 
-def test_any_source_receive_takes_the_index_not_the_scan():
+def control_msg(src, dst=0, tag=5, kind=MessageKind.CONTROL):
+    return fast_message(src, dst, 64, tag, kind, None, None, 0.0)
+
+
+def test_control_mailbox_hands_over_in_delivery_order():
+    sim, rt = make_runtime(4)
+    inbox = rt.ctx(0).inbox
+    for src in (3, 1, 2):
+        rt._finish_delivery(control_msg(src))
+    assert len(inbox) == 3  # buffered control messages count in the depth
+    got = []
+    for _ in range(3):
+        inbox.take_control(MessageKind.CONTROL, 5, lambda msg: got.append(msg.src))
+        sim.run()
+    assert got == [3, 1, 2]
+    assert sim.stats.store_wakeups == 3
+    assert len(inbox) == 0 and not inbox._mail and not inbox._posted
+    # no bucket, no receive, no scan: the mailbox is not the tag matcher
+    assert not inbox._buckets
+    assert sim.stats.inbox_wildcard_gets == 0
+    assert sim.stats.inbox_buckets_scanned == 0
+    assert sim.stats.inbox_peak_buckets == 0
+
+
+def test_app_wildcard_receives_count_the_buckets_they_scan():
     sim = Simulator()
     inbox = Inbox(sim, rank=0)
     for src in (3, 1, 2):
-        inbox.put(fast_message(src, 0, 64, 5, MessageKind.CONTROL, None, None, 0.0))
-    inbox.put(app_msg(1, 0, tag=5))
-    got = [drain(inbox.get(MessageKind.CONTROL, None, 5)).src for _ in range(3)]
-    assert got == [3, 1, 2]
-    assert sim.stats.inbox_wildcard_gets == 3
-    assert sim.stats.inbox_buckets_scanned == 0
+        inbox.put(app_msg(src, 0, tag=5))
+    inbox.put(app_msg(1, 0, tag=6))
     assert sim.stats.inbox_peak_buckets == 4
-    # an ANY_TAG receive scans the live buckets: only the APP one is left
-    assert drain(inbox.get(MessageKind.APP, 1, None)).kind is MessageKind.APP
-    assert sim.stats.inbox_buckets_scanned == 1
-    assert not inbox._buckets and not inbox._any_source
+    # ANY_SOURCE scans the live buckets and takes the earliest delivered
+    assert drain(inbox.get(MessageKind.APP, None, 5)).src == 3
+    assert sim.stats.inbox_buckets_scanned == 4
+    # ANY_TAG scans the three buckets left
+    assert drain(inbox.get(MessageKind.APP, 1, None)).tag == 5
+    assert sim.stats.inbox_buckets_scanned == 7
+    assert sim.stats.inbox_wildcard_gets == 2
+
+
+def test_control_mailbox_posted_consumer_takes_the_next_arrival():
+    sim, rt = make_runtime(3)
+    inbox = rt.ctx(0).inbox
+    order = []
+    inbox.take_control(MessageKind.MARKER, 9, lambda msg: order.append(("marker", msg.src)))
+    assert (MessageKind.MARKER, 9) in inbox._posted
+    # another kind or tag is buffered, not handed over
+    rt._finish_delivery(control_msg(2, tag=9))
+    rt._finish_delivery(control_msg(1, tag=8, kind=MessageKind.MARKER))
+    assert not sim._immediate and len(inbox) == 2
+    # the hand-off runs after the immediate callbacks already queued
+    sim.call_soon(order.append, "queued first")
+    rt._finish_delivery(control_msg(1, tag=9, kind=MessageKind.MARKER))
+    assert not inbox._posted and len(inbox) == 2
+    sim.run()
+    assert order == ["queued first", ("marker", 1)]
+    assert sim.stats.store_wakeups == 1
+
+
+def test_control_mailbox_take_of_a_buffered_message_queues_behind_earlier_callbacks():
+    sim, rt = make_runtime(2)
+    inbox = rt.ctx(0).inbox
+    rt._finish_delivery(control_msg(1))
+    order = []
+    sim.call_soon(order.append, "queued first")
+    inbox.take_control(MessageKind.CONTROL, 5, lambda msg: order.append(msg.src))
+    assert len(inbox) == 0
+    sim.run()
+    assert order == ["queued first", 1]
+
+
+def test_control_mailbox_refuses_a_second_consumer():
+    sim, rt = make_runtime(2)
+    inbox = rt.ctx(0).inbox
+    inbox.take_control(MessageKind.CONTROL, 5, lambda msg: None)
+    with pytest.raises(RuntimeError, match="already posted"):
+        inbox.take_control(MessageKind.CONTROL, 5, lambda msg: None)
+    # another tag or kind is a separate mailbox
+    inbox.take_control(MessageKind.CONTROL, 6, lambda msg: None)
+    inbox.take_control(MessageKind.MARKER, 5, lambda msg: None)
+
+
+def test_control_message_to_a_rolled_back_rank_is_dropped_before_the_mailbox():
+    sim, rt = make_runtime(2)
+    rt.attach_failure_source()
+    got = []
+    rt.ctx(0).inbox.take_control(MessageKind.CONTROL, 5, got.append)
+    stale = control_msg(1)
+    stale.dst_epoch = rt.ctx(0).rollback_epoch - 1
+    rt._finish_delivery(stale)
+    sim.run()
+    assert got == [] and rt.dropped_messages == 1
+    assert (MessageKind.CONTROL, 5) in rt.ctx(0).inbox._posted
 
 
 def test_message_kind_hash_is_identity_and_pickles_to_the_member():
@@ -283,12 +355,12 @@ def test_message_kind_hash_is_identity_and_pickles_to_the_member():
         assert pickle.loads(pickle.dumps(kind)) is kind
 
 
-# -- NORM coordination never scans --------------------------------------------
+# -- NORM coordination goes through the mailbox --------------------------------
 
-def test_norm_coordination_wildcards_use_the_index_and_leave_inboxes_empty():
-    """NORM's bookmark and barrier receives are ANY_SOURCE with a kind and a
-    tag: each is served by the (kind, tag) index, so a return to scanning
-    fails the count instead of only slowing the run down."""
+def test_norm_coordination_uses_the_mailbox_and_leaves_inboxes_empty():
+    """NORM's bookmarks and barrier tokens go through the control mailbox:
+    a control message that falls back to ``Inbox.get`` fails the wildcard
+    count, and one left behind fails the empty-inbox checks."""
     config = ScenarioConfig("hpl", 32, "NORM", CheckpointSchedule(times=(0.75, 2.0)),
                             workload_options=dict(QUICK.hpl_options),
                             max_group_size=8, do_restart=False, seed=7)
@@ -296,13 +368,13 @@ def test_norm_coordination_wildcards_use_the_index_and_leave_inboxes_empty():
     assert result.checkpoints_completed >= 2
     for ctx in result.app.contexts:
         assert len(ctx.inbox) == 0
-        assert not ctx.inbox._buckets and not ctx.inbox._any_source
+        assert not ctx.inbox._buckets
+        assert not ctx.inbox._mail and not ctx.inbox._posted
     stats = result.app.contexts[0].sim.stats
-    assert stats.inbox_wildcard_gets > 0
+    assert stats.inbox_wildcard_gets == 0
     assert stats.inbox_buckets_scanned == 0
-    assert stats.inbox_peak_buckets > 0
     flat = result.telemetry.metrics.as_flat_dict()
-    assert flat["sim.events.inbox_wildcard_gets"] == stats.inbox_wildcard_gets
+    assert flat["sim.events.inbox_wildcard_gets"] == 0
     assert flat["sim.events.inbox_buckets_scanned"] == 0
     assert flat["sim.events.inbox_peak_buckets"] == stats.inbox_peak_buckets
 

@@ -206,22 +206,25 @@ def test_store_getter_wakes_through_immediate_queue():
 
 
 # ----------------------------------------------------------- network tx holds
-def test_try_hold_tx_is_event_free_and_expires_lazily():
+def test_background_hold_is_event_free_and_expires_lazily():
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
-    assert net.try_hold_tx(0, 1000)
+    assert net.send_background(0, 1000)
     assert not sim._heap  # zero events scheduled
-    # second hold while the first is live: refused (inflight + NIC busy)
-    assert not net.try_hold_tx(0, 1000)
+    # the hold takes no resource grant: the in-flight count alone guards it
+    assert net._tx[0].count == 0 and net._tx_inflight[0] == 1
+    # a closed-form reservation while the hold is live: refused
+    assert net.try_reserve_tx(0, 1000) is None
     # after the hold's end time has passed, the next check expires it
     sim.now = 1.0
-    assert net.try_hold_tx(0, 1000)
+    assert net.send_background(0, 1000)
+    assert net._tx_inflight[0] == 1
 
 
 def test_live_tx_hold_materialises_for_coroutine_contender():
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
-    assert net.try_hold_tx(0, 115_000)  # holds TX NIC for overhead + 10ms
+    assert net.send_background(0, 115_000)  # holds TX NIC for overhead + 10ms
     hold_end = (0.0 + FAST_ETHERNET.per_message_overhead_s) + 115_000 / 11.5e6
     done = []
 
@@ -239,11 +242,11 @@ def test_live_tx_hold_materialises_for_coroutine_contender():
 def test_back_to_back_holds_pipeline_without_events():
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
-    assert net.try_hold_tx(0, 64)
+    assert net.send_background(0, 64)
     # one overhead later the first hold ends before a send started now
     # reaches the NIC: it retires and the second send takes the hold too
     sim.now = FAST_ETHERNET.per_message_overhead_s
-    assert net.try_hold_tx(0, 64)
+    assert net.send_background(0, 64)
     assert not sim._heap
     assert sim.stats.fastpath_tx == 2
     assert sim.stats.events_elided == 8
@@ -252,10 +255,10 @@ def test_back_to_back_holds_pipeline_without_events():
 def test_hold_ending_after_the_next_nic_arrival_still_refuses():
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
-    assert net.try_hold_tx(0, 115_000)
+    assert net.send_background(0, 115_000)
     sim.now = FAST_ETHERNET.per_message_overhead_s
-    assert not net.try_hold_tx(0, 64)
     assert net.try_reserve_tx(0, 64) is None
+    assert not net.send_background(0, 64)  # a callback chain instead
 
 
 def _pipelined_sends_then_contender(fast_path):
@@ -304,7 +307,7 @@ def test_fabric_disables_tx_fast_path():
     spec = replace(FAST_ETHERNET, switch_capacity=2)
     net = Network(sim, spec, 2, fast_path=True)
     assert net.try_reserve_tx(0, 1000) is None
-    assert not net.try_hold_tx(0, 1000)
+    assert not net.send_background(0, 1000)
 
 
 # --------------------------------------------------------- network message legs
@@ -342,6 +345,83 @@ def test_deliver_completes_at_the_same_instant_on_both_models():
     assert slow_events == fast_events + fast_stats.events_elided
     assert fast_stats.fastpath_local == 1
     assert fast_stats.fastpath_rx == 1
+
+
+def _rx_reservation_then_contender(fast_path, contender):
+    """A 115 kB delivery into node 1, then a contender for its RX NIC.
+
+    The first delivery finds the RX NIC free (the closed-form reservation
+    on the fast model).  The contender — a 64 B delivery (``"chain"``) or a
+    blocking 64 B transfer (``"coroutine"``) from node 2 — reaches the RX NIC
+    while the reservation holds it, so it must queue until the reservation
+    ends.  Returns each finish instant, the event counts and the network.
+    """
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 3, fast_path=fast_path)
+    finished = {}
+
+    def record(label):
+        finished[label] = sim.now
+
+    net.deliver(0, 1, 115_000, record, "reserved")
+
+    def start_contender():
+        yield sim.timeout(FAST_ETHERNET.latency_s / 2)
+        if contender == "chain":
+            net.deliver(2, 1, 64, record, contender)
+        else:
+            yield from net.transfer(2, 1, 64)
+            record(contender)
+
+    sim.process(start_contender())
+    sim.run()
+    return finished, sim.processed_events, sim.stats, net
+
+
+@pytest.mark.parametrize("contender", ["chain", "coroutine"])
+def test_live_rx_reservation_materialises_for_a_contender(contender):
+    fast, fast_events, fast_stats, fast_net = _rx_reservation_then_contender(True, contender)
+    slow, slow_events, slow_stats, slow_net = _rx_reservation_then_contender(False, contender)
+    bandwidth = FAST_ETHERNET.bandwidth_bytes_per_s
+    reserved_end = FAST_ETHERNET.latency_s + 115_000 / bandwidth
+    assert fast == slow
+    assert fast["reserved"] == reserved_end
+    # the contender queued until exactly the reservation's end
+    assert fast[contender] == reserved_end + 64 / bandwidth
+    assert fast_stats.fastpath_rx == 1
+    assert slow_stats.events_elided == 0
+    assert slow_events == fast_events + fast_stats.events_elided
+    for net in (fast_net, slow_net):
+        for nic in net._tx + net._rx:
+            assert nic.count == 0 and nic.queue_length == 0
+        assert net._tx_inflight == net._rx_inflight == [0, 0, 0]
+        assert net._rx_hold == [None, None, None]
+
+
+def test_uncontended_background_send_and_delivery_take_no_resource_grant(monkeypatch):
+    """The analytic TX hold and RX reservation decide the NIC from the
+    in-flight counts alone: no ``Resource`` call, and both NICs idle after."""
+    calls = []
+    for name in ("request", "acquire_nowait", "release"):
+        original = getattr(Resource, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Resource, name, spy)
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
+    arrived = []
+    assert net.send_background(0, 64)
+    net.deliver(0, 1, 64, arrived.append, "bookmark")
+    assert net._tx_inflight == [1, 0] and net._rx_inflight == [0, 1]
+    sim.run()
+    assert arrived == ["bookmark"]
+    assert sim.now == FAST_ETHERNET.latency_s + 64 / FAST_ETHERNET.bandwidth_bytes_per_s
+    assert calls == []
+    assert sim.processed_events == 1 and sim.stats.events_elided == 7
+    assert net._rx_inflight == [0, 0] and net._rx_hold == [None, None]
 
 
 def _kill_sender_in_tx(fast_path, queued):

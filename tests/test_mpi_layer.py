@@ -19,7 +19,7 @@ from repro.mpi.ops import (
 from repro.mpi.runtime import MpiRuntime
 from repro.mpi.trace import TraceLog, TraceRecord, unordered_pair
 from repro.mpi.tracer import Tracer
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 
 
@@ -427,8 +427,7 @@ def test_control_gather_names_what_a_wedged_rank_waits_for():
 
     def receiver():
         # rank 1 announces 500 B that never arrive; rank 2 never sends
-        yield rt.control_gather(ctx, 2, tag=7,
-                                on_message=lambda m: ctx.wait_for_received(m.src, m.payload))
+        yield rt.control_gather(ctx, 2, tag=7, on_message=ctx.wait_for_bookmark)
 
     def announcer():
         yield rt.control_fanout(rt.ctx(1), [0], tag=7, payload_of=lambda peer: 500)
@@ -441,3 +440,33 @@ def test_control_gather_names_what_a_wedged_rank_waits_for():
     assert callable(waiting._name)  # resolved only when printed
     assert "rank 0 gathering control tag 7: 1/2 received" in repr(waiting)
     assert "draining rank 1: 0 of 500 B arrived" in repr(waiting)
+
+
+def test_deadlock_report_names_each_blocked_rank_and_its_receive():
+    sim, rt = make_runtime(3)
+
+    def prog(rank):
+        if rank == 0:
+            return [Compute(seconds=0.5, jitter=False), Recv(src=1, tag=5)]
+        return [Compute(seconds=0.1, jitter=False)]
+
+    rt.launch(prog)
+    with pytest.raises(SimulationError) as err:
+        rt.run_to_completion()
+    text = str(err.value)
+    # the kernel's own message comes first, then one line per blocked rank
+    assert text.startswith("deadlock: event")
+    assert "1 of 3 ranks unfinished" in text
+    assert "rank 0: 2 ops executed" in text
+    assert "posted receive (app, src=1, tag=5)" in text
+
+
+def test_time_limit_report_names_the_ranks_still_running():
+    sim, rt = make_runtime(2)
+    rt.launch(lambda rank: [Compute(seconds=10.0, jitter=False)])
+    with pytest.raises(RuntimeError) as err:
+        rt.run_to_completion(limit_s=1.0)
+    text = str(err.value)
+    assert text.startswith("application did not finish within 1.0 simulated seconds")
+    assert "2 of 2 ranks unfinished" in text
+    assert "rank 0: 1 ops executed, waiting on <Timeout" in text

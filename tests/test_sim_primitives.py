@@ -242,3 +242,31 @@ def test_rng_jitter_is_positive(seed):
 @settings(max_examples=25, deadline=None)
 def test_rng_bernoulli_returns_bool(p):
     assert isinstance(RandomStreams(3).bernoulli("b", p), bool)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       p=st.floats(min_value=0.0, max_value=1.0),
+       trials=st.integers(min_value=0, max_value=200))
+@settings(max_examples=50, deadline=None)
+def test_rng_bernoulli_count_equals_scalar_draws(seed, p, trials):
+    """One batched draw consumes the stream exactly like ``trials`` scalar
+    ``bernoulli`` draws: numpy's ``random(k)`` yields the same doubles."""
+    batched, scalar = RandomStreams(seed), RandomStreams(seed)
+    assert batched.bernoulli_count("stall", p, trials) == sum(
+        scalar.bernoulli("stall", p) for _ in range(trials))
+    # the stream is left in the same state
+    assert batched.uniform("stall") == scalar.uniform("stall")
+
+
+def test_rng_bernoulli_count_doubles_match_scalar_random():
+    batched = RandomStreams(11).stream("x").random(1000)
+    scalar = RandomStreams(11).stream("x")
+    assert batched.tolist() == [scalar.random() for _ in range(1000)]
+
+
+def test_rng_bernoulli_count_bounds():
+    rng = RandomStreams(0)
+    with pytest.raises(ValueError):
+        rng.bernoulli_count("x", 1.5, 3)
+    assert rng.bernoulli_count("x", 1.0, 4) == 4
+    assert rng.bernoulli_count("x", 0.0, 4) == 0
