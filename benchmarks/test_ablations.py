@@ -49,7 +49,7 @@ def test_ablation_group_size_sweep(benchmark):
     """Sweep the maximum group size G: larger groups coordinate more but log less."""
 
     def experiment():
-        trace = obtain_trace("hpl", N_RANKS, GIDEON_300, HPL_OPTS)
+        trace = obtain_trace("hpl", N_RANKS, HPL_OPTS)
         table = Table(
             title=f"Ablation: group size sweep (HPL, {N_RANKS} processes)",
             columns=["G", "groups", "aggregate ckpt time (s)", "logged MB"],
@@ -97,7 +97,7 @@ def test_ablation_piggyback_garbage_collection(benchmark):
                          compute_seconds=0.05, memory_bytes=32 * 1024 * 1024)
         spec = GIDEON_300.with_nodes(n)
         workload = Halo2DWorkload(n, SyntheticParameters(**halo_opts))
-        trace = obtain_trace("halo2d", n, GIDEON_300, halo_opts)
+        trace = obtain_trace("halo2d", n, halo_opts)
         groupset = form_groups(trace, max_group_size=6, n_ranks=n).groupset
         family = gp_family(groupset)
         sim = Simulator()
@@ -139,7 +139,7 @@ def test_ablation_faster_network_narrows_the_gap(benchmark):
         ratios = []
         for net in (GIDEON_300.network, GIGABIT_ETHERNET):
             spec = replace(GIDEON_300.with_nodes(N_RANKS), network=net)
-            trace = obtain_trace("hpl", N_RANKS, GIDEON_300, HPL_OPTS)
+            trace = obtain_trace("hpl", N_RANKS, HPL_OPTS)
             groupset = form_groups(trace, max_group_size=8, n_ranks=N_RANKS).groupset
             gp_result, _ = _run(gp_family(groupset), spec)
             norm_result, _ = _run(norm_family(N_RANKS), spec)

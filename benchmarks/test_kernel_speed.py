@@ -29,16 +29,22 @@ reproduces the same scenarios bit-identically (see
 Each scenario runs at least ``--repeat`` times and for at least
 ``MIN_RUN_S`` wall seconds, and reports its median run.
 
-The stand-alone CLI additionally carries the **regression gate**: with
-``--baseline benchmarks/kernel_speed_baseline.json`` each measurement is
-compared against the checked-in per-scenario ``equivalent_events_per_s``
-with the baseline's tolerance band.  The model-equivalent rate is the gate's
-metric because processed plus elided events is fixed per scenario: a new
-elision lowers ``events_per_s`` while the run gets faster, but leaves the
-equivalent rate tracking wall time alone.  While the baseline has ``"enforce": false`` the
-comparison is report-only; after one green CI run on a fresh baseline, flip
-``enforce`` to true and regressions beyond the band fail the job.  Refresh
-the baseline on the reference machine with ``--update-baseline``.
+The stand-alone CLI additionally carries the **regression gate**.  The
+model-equivalent rate is the gate's metric because processed plus elided
+events is fixed per scenario: a new elision lowers ``events_per_s`` while
+the run gets faster, but leaves the equivalent rate tracking wall time
+alone.  A host's speed can swing by 2x between phases, so the gate compares
+against the parent commit measured on the same host at the same time: with
+``--against PARENT.json...`` (the ``--json`` files of the parent's own runs)
+a scenario fails when its median here over the parent's median falls below
+``1 - tolerance``.  ``tolerance`` and ``enforce`` come from the checked-in
+baseline (``--baseline``, default ``benchmarks/kernel_speed_baseline.json``);
+its absolute per-scenario numbers, recorded on one reference host, are
+printed next to the parent comparison for reference.  Without ``--against``,
+``--baseline`` gates on those absolute numbers (refresh them on the
+reference machine with ``--update-baseline``).  ``--load CHANGE.json...``
+compares earlier ``--json`` runs instead of measuring, so the two sides can
+be run alternately and compared afterwards.
 
 Run stand-alone (no pytest plugins needed — this is what the CI smoke job
 uses)::
@@ -47,6 +53,8 @@ uses)::
         --json kernel-speed.json
     PYTHONPATH=src python benchmarks/test_kernel_speed.py --scenario all \
         --baseline benchmarks/kernel_speed_baseline.json
+    PYTHONPATH=src python benchmarks/test_kernel_speed.py \
+        --load change-1.json change-2.json --against parent-1.json parent-2.json
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Dict, List, Tuple
@@ -123,7 +132,7 @@ def measure_kernel_speed(scenario: str, repeat: int = 3) -> Dict[str, object]:
     while len(runs) < repeat or total_s < MIN_RUN_S:
         workload = build_workload(spec["workload"], spec["n_ranks"], spec["options"])
         cluster_spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, spec["n_ranks"]))
-        family = build_family("NORM", spec["n_ranks"], spec["workload"], cluster_spec)
+        family = build_family("NORM", spec["n_ranks"], spec["workload"])
         sim = Simulator()
         cluster = Cluster(sim, cluster_spec)
         runtime = MpiRuntime(sim, cluster, spec["n_ranks"], protocol_family=family,
@@ -196,7 +205,7 @@ def measure_sampler_overhead(
     def run_once(sampled: bool) -> float:
         workload = build_workload(spec["workload"], spec["n_ranks"], spec["options"])
         cluster_spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, spec["n_ranks"]))
-        family = build_family("NORM", spec["n_ranks"], spec["workload"], cluster_spec)
+        family = build_family("NORM", spec["n_ranks"], spec["workload"])
         sim = Simulator()
         cluster = Cluster(sim, cluster_spec)
         runtime = MpiRuntime(sim, cluster, spec["n_ranks"], protocol_family=family,
@@ -243,7 +252,7 @@ def measure_kernel_footprint(scenario: str) -> Dict[str, object]:
     spec = SCENARIOS[scenario]
     workload = build_workload(spec["workload"], spec["n_ranks"], spec["options"])
     cluster_spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, spec["n_ranks"]))
-    family = build_family("NORM", spec["n_ranks"], spec["workload"], cluster_spec)
+    family = build_family("NORM", spec["n_ranks"], spec["workload"])
     sim = Simulator()
     cluster = Cluster(sim, cluster_spec)
     runtime = MpiRuntime(sim, cluster, spec["n_ranks"], protocol_family=family,
@@ -278,39 +287,67 @@ def load_baseline(path: str = BASELINE_PATH) -> Dict[str, object]:
         return json.load(fh)
 
 
-def compare_to_baseline(
-    payloads: List[Dict[str, object]], baseline: Dict[str, object]
+def load_measurements(path: str) -> List[Dict[str, object]]:
+    """Read the measurements a ``--json`` run wrote."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def median_by_scenario(payloads: List[Dict[str, object]], metric: str) -> Dict[str, float]:
+    """Each scenario's median ``metric`` over ``payloads`` (several runs of one side)."""
+    values: Dict[str, List[float]] = {}
+    for payload in payloads:
+        if metric in payload:  # e.g. the sampler-overhead A/B track has none
+            values.setdefault(str(payload["scenario"]), []).append(float(payload[metric]))
+    return {name: statistics.median(vals) for name, vals in values.items()}
+
+
+def compare(
+    measured: Dict[str, float], reference: Dict[str, float], label: str,
+    metric: str, tolerance: float,
 ) -> Tuple[List[str], List[str]]:
-    """Compare measurements to the baseline; return (report lines, violations).
+    """Sort scenarios into (report lines, violations) by their ratio to ``reference``.
 
     A scenario *regresses* when its measured metric falls below
-    ``baseline × (1 − tolerance)``.  Scenarios absent from the baseline are
+    ``reference × (1 − tolerance)``.  Scenarios without a reference are
     reported but never gate.  Violations only fail the run when the baseline
-    sets ``"enforce": true`` (the caller decides — this function just sorts
-    lines into the two buckets).
+    sets ``"enforce": true`` (the caller decides).
     """
-    metric = str(baseline.get("metric", "equivalent_events_per_s"))
-    tolerance = float(baseline.get("tolerance", 0.3))
-    scenarios = baseline.get("scenarios", {})
     lines: List[str] = []
     violations: List[str] = []
-    for payload in payloads:
-        if metric not in payload:  # e.g. the sampler-overhead A/B track
-            continue
-        name = payload["scenario"]
-        measured = float(payload[metric])
-        ref = scenarios.get(name)
+    for name, value in measured.items():
+        ref = reference.get(name)
         if ref is None:
-            lines.append(f"{name}: {measured:,.0f} {metric} (no baseline entry)")
+            lines.append(f"{name}: {value:,.0f} {metric} (no {label} entry)")
             continue
-        ratio = measured / float(ref)
-        line = (f"{name}: {measured:,.0f} vs baseline {float(ref):,.0f} {metric}"
+        ratio = value / float(ref)
+        line = (f"{name}: {value:,.0f} vs {label} {float(ref):,.0f} {metric}"
                 f" ({ratio:.2f}x, tolerance -{tolerance:.0%})")
         if ratio < 1.0 - tolerance:
             violations.append(line + "  REGRESSED")
         else:
             lines.append(line + "  ok")
     return lines, violations
+
+
+def compare_to_baseline(
+    payloads: List[Dict[str, object]], baseline: Dict[str, object]
+) -> Tuple[List[str], List[str]]:
+    """Compare measurements to the baseline's recorded numbers."""
+    metric = str(baseline.get("metric", "equivalent_events_per_s"))
+    return compare(median_by_scenario(payloads, metric), baseline.get("scenarios", {}),
+                   "baseline", metric, float(baseline.get("tolerance", 0.3)))
+
+
+def compare_to_parent(
+    payloads: List[Dict[str, object]], parent: List[Dict[str, object]],
+    baseline: Dict[str, object],
+) -> Tuple[List[str], List[str]]:
+    """Compare this side's median per scenario to the parent commit's median,
+    with the baseline's metric and tolerance."""
+    metric = str(baseline.get("metric", "equivalent_events_per_s"))
+    return compare(median_by_scenario(payloads, metric), median_by_scenario(parent, metric),
+                   "parent", metric, float(baseline.get("tolerance", 0.3)))
 
 
 def update_baseline(payloads: List[Dict[str, object]],
@@ -422,10 +459,22 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default=None, help="write measurements to this JSON file")
     parser.add_argument("--db", default=None,
                         help="also record into this campaign store's benchmark table")
+    parser.add_argument("--load", nargs="+", default=None, metavar="JSON",
+                        help="read measurements from these --json files instead "
+                             "of running scenarios (several runs of one commit: "
+                             "each scenario's median is compared)")
     parser.add_argument("--baseline", default=None,
                         help="compare against this regression-baseline JSON; "
                              "fails when the baseline enforces and a scenario "
                              "regresses beyond its tolerance band")
+    parser.add_argument("--against", nargs="+", default=None, metavar="PARENT_JSON",
+                        help="gate on the parent commit instead: these are --json "
+                             "files of the parent's own runs, and a scenario "
+                             "fails when its median here over the parent's median "
+                             "is below 1 - tolerance.  Tolerance and enforce come "
+                             "from --baseline (default: the checked-in baseline), "
+                             "whose absolute numbers are then printed for "
+                             "reference only")
     parser.add_argument("--update-baseline", action="store_true",
                         help=f"rewrite {BASELINE_PATH} from this run's numbers")
     parser.add_argument("--footprint", action="store_true",
@@ -437,14 +486,16 @@ def main(argv=None) -> int:
                              "(report-only track in the baseline)")
     args = parser.parse_args(argv)
 
-    if args.scenario == "all":
+    if args.load:
+        names = []
+    elif args.scenario == "all":
         names = [s for s in SCENARIOS if s != "tiny" and s not in SCALE_ONLY]
     elif args.scenario in SCENARIOS:
         names = [args.scenario]
     else:
         parser.error(f"unknown scenario {args.scenario!r}; "
                      f"expected one of {sorted(SCENARIOS)} or 'all'")
-    payloads = []
+    payloads = [payload for path in args.load or () for payload in load_measurements(path)]
     for name in names:
         payload = measure_kernel_speed(name, repeat=args.repeat)
         if args.footprint:
@@ -478,14 +529,23 @@ def main(argv=None) -> int:
     if args.update_baseline:
         update_baseline(payloads)
         print(f"updated {BASELINE_PATH}")
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        lines, violations = compare_to_baseline(payloads, baseline)
+    if args.baseline or args.against:
+        baseline_path = args.baseline or BASELINE_PATH
+        baseline = load_baseline(baseline_path)
         enforce = bool(baseline.get("enforce", False))
-        print(f"\nbaseline comparison ({args.baseline}, "
-              f"{'enforcing' if enforce else 'report-only'}):")
+        lines, violations = compare_to_baseline(payloads, baseline)
+        gated = not args.against
+        print(f"\nbaseline comparison ({baseline_path}, "
+              f"{'enforcing' if enforce and gated else 'report-only'}):")
         for line in lines + violations:
             print(f"  {line}")
+        if args.against:
+            parent = [payload for path in args.against for payload in load_measurements(path)]
+            lines, violations = compare_to_parent(payloads, parent, baseline)
+            print(f"\nparent comparison ({' '.join(args.against)}, "
+                  f"{'enforcing' if enforce else 'report-only'}):")
+            for line in lines + violations:
+                print(f"  {line}")
         if violations and enforce:
             print(f"{len(violations)} scenario(s) regressed beyond tolerance")
             return 1

@@ -27,7 +27,7 @@ from repro.ckpt.presets import gp_family, norm_family
 from repro.cluster import GIDEON_300, Cluster
 from repro.cluster.failure import ExponentialFailureModel, expected_lost_work
 from repro.core import CheckpointCoordinator, form_groups
-from repro.mpi import MpiRuntime, Tracer
+from repro.mpi import MpiRuntime, script_trace
 from repro.sim import RandomStreams, Simulator
 from repro.workloads import HplWorkload
 from repro.workloads.hpl import HplParameters
@@ -55,14 +55,8 @@ def main() -> None:
     print(f"Workload: {workload.describe()}")
 
     # learn groups from a trace
-    sim = Simulator()
-    cluster = Cluster(sim, GIDEON_300.with_nodes(N_RANKS))
-    tracer = Tracer()
-    runtime = MpiRuntime(sim, cluster, N_RANKS, rng=RandomStreams(0), tracer=tracer)
-    runtime.set_memory(workload.memory_map())
-    runtime.launch(workload.program_factory())
-    runtime.run_to_completion()
-    groups = form_groups(tracer.log, max_group_size=8, n_ranks=N_RANKS).groupset
+    trace = script_trace(workload.program, N_RANKS)
+    groups = form_groups(trace, max_group_size=8, n_ranks=N_RANKS).groupset
     print(f"Groups: {groups.describe()}\n")
 
     # 1. measured per-checkpoint cost per method

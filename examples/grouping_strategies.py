@@ -16,7 +16,7 @@ from repro.ckpt.presets import gp1_family, gp4_family, gp_family, norm_family
 from repro.cluster import GIDEON_300, Cluster
 from repro.core import CheckpointCoordinator, form_groups, simulate_restart
 from repro.core.formation import grouping_quality
-from repro.mpi import MpiRuntime, Tracer
+from repro.mpi import MpiRuntime, script_trace
 from repro.sim import RandomStreams, Simulator
 from repro.workloads import CgWorkload
 from repro.workloads.npb_cg import CgParameters
@@ -24,18 +24,6 @@ from repro.workloads.npb_cg import CgParameters
 N_RANKS = 32
 CG = CgParameters(na=60000, max_steps=10)
 CHECKPOINT_AT = 4.0
-
-
-def trace_workload(workload):
-    """Run once with the tracer to learn the communication pattern."""
-    sim = Simulator()
-    cluster = Cluster(sim, GIDEON_300.with_nodes(N_RANKS))
-    tracer = Tracer()
-    runtime = MpiRuntime(sim, cluster, N_RANKS, rng=RandomStreams(42), tracer=tracer)
-    runtime.set_memory(workload.memory_map())
-    runtime.launch(workload.program_factory())
-    runtime.run_to_completion()
-    return tracer.log
 
 
 def run_with(family, workload, seed=2):
@@ -56,7 +44,7 @@ def main() -> None:
     workload = CgWorkload(N_RANKS, CG)
     print(f"Workload: {workload.describe()}\n")
 
-    trace = trace_workload(workload)
+    trace = script_trace(workload.program, N_RANKS)
     formation = form_groups(trace, n_ranks=N_RANKS)
     print(f"Trace-assisted formation: {formation.describe()}")
 

@@ -3,7 +3,7 @@
 
 This walks the full workflow of the paper's Figure 4 on a 32-process job:
 
-1. run the application once with the light-weight MPI tracer attached,
+1. trace the application's sends (read off its deterministic op scripts),
 2. analyse the trace with Algorithm 2 to obtain a group definition,
 3. run the application again with group-based checkpointing (one checkpoint),
 4. compare against the global coordinated checkpoint (NORM), and
@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 
 from repro.sim import Simulator, RandomStreams
 from repro.cluster import Cluster, GIDEON_300
-from repro.mpi import MpiRuntime, Tracer
+from repro.mpi import MpiRuntime, script_trace
 from repro.ckpt import one_shot
 from repro.ckpt.presets import gp_family, norm_family
 from repro.core import CheckpointCoordinator, form_groups, simulate_restart
@@ -44,18 +44,12 @@ def main() -> None:
     workload = HplWorkload(N_RANKS, HPL)
     print(f"Workload: {workload.describe()}")
 
-    # 1. trace run ----------------------------------------------------------
-    sim = Simulator()
-    cluster = Cluster(sim, GIDEON_300.with_nodes(N_RANKS))
-    tracer = Tracer()
-    runtime = MpiRuntime(sim, cluster, N_RANKS, rng=RandomStreams(99), tracer=tracer)
-    runtime.set_memory(workload.memory_map())
-    runtime.launch(workload.program_factory())
-    runtime.run_to_completion()
-    print(f"Trace run finished: {len(tracer.log)} send records")
+    # 1. trace ----------------------------------------------------------------
+    trace = script_trace(workload.program, N_RANKS)
+    print(f"Trace run finished: {len(trace)} send records")
 
     # 2. group formation (Algorithm 2) ---------------------------------------
-    formation = form_groups(tracer.log, max_group_size=8, n_ranks=N_RANKS)
+    formation = form_groups(trace, max_group_size=8, n_ranks=N_RANKS)
     print(f"Group formation: {formation.describe()}")
     for i, group in enumerate(formation.groupset.groups, start=1):
         print(f"  group {i}: {list(group)}")

@@ -40,7 +40,6 @@ from repro.cluster.failure import ExponentialFailureModel, expected_lost_work
 from repro.core.groups import GroupSet
 from repro.experiments.config import ExperimentProfile, FULL, FailureSpec, ScenarioConfig
 from repro.experiments.runner import obtain_groups
-from repro.cluster.topology import GIDEON_300
 from repro.ckpt.scheduler import periodic
 from repro.sim.rng import RandomStreams
 
@@ -178,7 +177,7 @@ def _victim_scope(method: str, n_ranks: int, profile: ExperimentProfile,
         return 1
     if method == "GP4":
         return len(GroupSet.contiguous(n_ranks, 4).members(victim_rank))
-    groups = obtain_groups("hpl", n_ranks, GIDEON_300, dict(profile.hpl_options),
+    groups = obtain_groups("hpl", n_ranks, dict(profile.hpl_options),
                            max_group_size=max_group_size)
     return len(groups.members(victim_rank))
 
@@ -423,7 +422,7 @@ def rollback_scope_experiment(
     from out-of-group peers, which do *not* roll back).
     """
     n = n_ranks if n_ranks is not None else profile.hpl_scales[-1]
-    groups = obtain_groups("hpl", n, GIDEON_300, dict(profile.hpl_options), max_group_size=8)
+    groups = obtain_groups("hpl", n, dict(profile.hpl_options), max_group_size=8)
     schemes = {
         "NORM": GroupSet.single(n),
         "GP": groups,

@@ -293,8 +293,7 @@ def _hpl_formation(results: Results):
     """The trace and group formation of the one HPL GP row, rebuilt from its config."""
     (result,) = results
     config = result.config
-    trace = obtain_trace(config.workload, config.n_ranks, config.cluster,
-                         config.workload_options)
+    trace = obtain_trace(config.workload, config.n_ranks, config.workload_options)
     return trace, form_groups(trace, max_group_size=config.max_group_size,
                               n_ranks=config.n_ranks)
 

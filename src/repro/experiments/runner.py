@@ -3,14 +3,17 @@
 The standard flow for a trace-assisted ("GP") scenario is exactly the
 workflow of the paper's Figure 4:
 
-1. run the application once with the light-weight tracer linked in,
+1. trace the application's sends.  The paper runs it once with a
+   light-weight tracer linked in; here every script is deterministic, so
+   :func:`~repro.mpi.trace.script_trace` reads the same ``(SRC, DST, Z)``
+   records off the ranks' op scripts without simulating a run,
 2. analyse the trace with Algorithm 2 to obtain a group definition,
-3. run the application again with the group-based checkpointing protocol and
-   the chosen checkpoint schedule (the tracer is no longer needed),
+3. run the application with the group-based checkpointing protocol and
+   the chosen checkpoint schedule,
 4. optionally restart the application from its last checkpoint and measure
    the restart preparation.
 
-Trace runs are cached per (workload, scale, options) so sweeping the grouping
+Traces are cached per (workload, scale, options) so sweeping the grouping
 method does not re-trace.
 """
 
@@ -37,15 +40,14 @@ from repro.cluster.failure import (
     SwitchOutageFailureModel,
     TraceFailureModel,
 )
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster
 from repro.core.coordinator import CheckpointCoordinator
 from repro.core.formation import form_groups
 from repro.core.groups import GroupSet
 from repro.core.restart import RestartResult, simulate_restart
 from repro.experiments.config import ScenarioConfig
 from repro.mpi.runtime import ApplicationResult, MpiRuntime
-from repro.mpi.trace import TraceLog
-from repro.mpi.tracer import Tracer
+from repro.mpi.trace import TraceLog, script_trace
 from repro.obs import (
     Telemetry,
     harvest_scenario,
@@ -105,7 +107,7 @@ def build_workload(name: str, n_ranks: int, options: Optional[Dict[str, object]]
 
 
 def _tracing_options(name: str, options: Dict[str, object]) -> Dict[str, object]:
-    """Cheaper workload options for the trace run (fewer simulated steps)."""
+    """Cheaper workload options for the trace (fewer steps)."""
     out = dict(options)
     if name in ("hpl", "cg", "sp"):
         out.setdefault("max_steps", 8)
@@ -122,32 +124,22 @@ _GROUP_CACHE: Dict[Tuple[str, int, Tuple[Tuple[str, object], ...], Optional[int]
 def obtain_trace(
     workload_name: str,
     n_ranks: int,
-    cluster: ClusterSpec,
     options: Optional[Dict[str, object]] = None,
-    seed: int = 12345,
 ) -> TraceLog:
-    """Run the workload once with the tracer attached and return the trace (cached)."""
+    """The workload's send records, read off its scripts (cached)."""
     options = dict(options or {})
     key = (workload_name, n_ranks, tuple(sorted(options.items())))
     if key in _TRACE_CACHE:
         return _TRACE_CACHE[key]
-    trace_opts = _tracing_options(workload_name, options)
-    workload = build_workload(workload_name, n_ranks, trace_opts)
-    sim = Simulator()
-    cl = Cluster(sim, cluster.with_nodes(max(cluster.n_nodes, n_ranks)))
-    tracer = Tracer()
-    runtime = MpiRuntime(sim, cl, n_ranks, rng=RandomStreams(seed), tracer=tracer)
-    runtime.set_memory(workload.memory_map())
-    runtime.launch(workload.program_factory())
-    runtime.run_to_completion(limit_s=1e8)
-    _TRACE_CACHE[key] = tracer.log
-    return tracer.log
+    workload = build_workload(workload_name, n_ranks,
+                              _tracing_options(workload_name, options))
+    trace = _TRACE_CACHE[key] = script_trace(workload.program, n_ranks)
+    return trace
 
 
 def obtain_groups(
     workload_name: str,
     n_ranks: int,
-    cluster: ClusterSpec,
     options: Optional[Dict[str, object]] = None,
     max_group_size: Optional[int] = None,
 ) -> GroupSet:
@@ -156,7 +148,7 @@ def obtain_groups(
     key = (workload_name, n_ranks, tuple(sorted(options.items())), max_group_size)
     if key in _GROUP_CACHE:
         return _GROUP_CACHE[key]
-    trace = obtain_trace(workload_name, n_ranks, cluster, options)
+    trace = obtain_trace(workload_name, n_ranks, options)
     formation = form_groups(trace, max_group_size=max_group_size, n_ranks=n_ranks)
     _GROUP_CACHE[key] = formation.groupset
     return formation.groupset
@@ -166,7 +158,6 @@ def build_family(
     method: str,
     n_ranks: int,
     workload_name: str,
-    cluster: ClusterSpec,
     options: Optional[Dict[str, object]] = None,
     max_group_size: Optional[int] = None,
     protocol_config: Optional[ProtocolConfig] = None,
@@ -181,7 +172,7 @@ def build_family(
     if method == "VCL":
         return vcl_family(config=protocol_config)
     if method == "GP":
-        groups = obtain_groups(workload_name, n_ranks, cluster, options, max_group_size)
+        groups = obtain_groups(workload_name, n_ranks, options, max_group_size)
         return gp_family(groups, config=protocol_config)
     raise ValueError(f"unknown method {method!r}")
 
@@ -250,7 +241,6 @@ def run_scenario(
         config.method,
         config.n_ranks,
         config.workload,
-        cluster_spec,
         config.workload_options,
         config.max_group_size,
         protocol_config,

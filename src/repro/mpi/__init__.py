@@ -13,7 +13,8 @@ Public pieces:
 * :mod:`repro.mpi.collectives` — point-to-point schedules for collectives,
 * :mod:`repro.mpi.runtime` — :class:`MpiRuntime` and :class:`RankContext`,
 * :mod:`repro.mpi.tracer` — the light-weight communication tracer,
-* :mod:`repro.mpi.trace` — trace records, logs and communication matrices.
+* :mod:`repro.mpi.trace` — trace records, logs, communication matrices and
+  :func:`~repro.mpi.trace.script_trace`, the send records read off the scripts.
 """
 
 from repro.mpi.messages import Message, MessageKind, ChannelAccount
@@ -32,7 +33,7 @@ from repro.mpi.ops import (
     Allgather,
     Marker,
 )
-from repro.mpi.trace import TraceRecord, TraceLog
+from repro.mpi.trace import TraceRecord, TraceLog, script_trace
 from repro.mpi.tracer import Tracer
 from repro.mpi.runtime import MpiRuntime, RankContext, ApplicationResult
 
@@ -55,6 +56,7 @@ __all__ = [
     "Marker",
     "TraceRecord",
     "TraceLog",
+    "script_trace",
     "Tracer",
     "MpiRuntime",
     "RankContext",

@@ -15,13 +15,21 @@ Algorithms:
 
 Each schedule is a list of steps executed in order by every participant;
 a step is ``("send", peer, nbytes)`` or ``("recv", peer, nbytes)``.
+:func:`schedule_for` maps a collective op to its schedule; the runtime runs
+that schedule and the script trace reads its sends, so both see the same
+messages.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, Type
+
+from repro.mpi.ops import Allgather, Allreduce, Barrier, Bcast, Op, Reduce
 
 Step = Tuple[str, int, int]
+
+#: tag offset of collective traffic; applications should use tags below this
+COLLECTIVE_TAG_BASE = 1_000_000
 
 
 def _index_of(participants: Sequence[int], rank: int) -> int:
@@ -171,6 +179,27 @@ def allgather_schedule(rank: int, participants: Sequence[int], nbytes: int) -> L
         steps.append(("send", right, nbytes))
         steps.append(("recv", left, nbytes))
     return steps
+
+
+#: collective op class -> (op, rank, participants) -> that rank's schedule
+_SCHEDULES: Dict[Type[Op], Callable[..., List[Step]]] = {
+    Barrier: lambda op, rank, parts: barrier_schedule(rank, parts),
+    Bcast: lambda op, rank, parts: bcast_schedule(rank, op.root, parts, op.nbytes),
+    Reduce: lambda op, rank, parts: reduce_schedule(rank, op.root, parts, op.nbytes),
+    Allreduce: lambda op, rank, parts: allreduce_schedule(rank, parts, op.nbytes),
+    Allgather: lambda op, rank, parts: allgather_schedule(rank, parts, op.nbytes),
+}
+
+#: the collective op classes, matched by exact type as the runtime dispatches
+COLLECTIVES = tuple(_SCHEDULES)
+
+
+def schedule_for(op: Op, rank: int, n_ranks: int) -> List[Step]:
+    """``rank``'s point-to-point schedule of collective ``op``.
+
+    Participants default to every rank of the ``n_ranks`` communicator.
+    """
+    return _SCHEDULES[op.__class__](op, rank, op.participants or tuple(range(n_ranks)))
 
 
 def schedule_message_count(steps: Sequence[Step]) -> int:

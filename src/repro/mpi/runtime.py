@@ -22,19 +22,14 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Seq
 
 from repro.ckpt.base import ResumePoint
 from repro.cluster.topology import Cluster
-from repro.mpi import collectives as coll
+from repro.mpi.collectives import COLLECTIVE_TAG_BASE, COLLECTIVES, schedule_for
 from repro.mpi.messages import ChannelAccount, Message, MessageKind, fast_message
 from repro.mpi.ops import (
-    Allgather,
-    Allreduce,
-    Barrier,
-    Bcast,
     Compute,
     Isend,
     Marker,
     Op,
     Recv,
-    Reduce,
     Send,
     SendRecv,
     Wait,
@@ -44,8 +39,8 @@ from repro.sim.engine import Interrupt, SimProcess, SimulationError, Simulator
 from repro.sim.primitives import Event, Timeout, _fire_event_now
 from repro.sim.rng import RandomStreams
 
-# Tags reserved for internal traffic; applications should use tags below this.
-COLLECTIVE_TAG_BASE = 1_000_000
+# Tags from COLLECTIVE_TAG_BASE up are internal traffic (collectives, then
+# control messages from here); applications use tags below it.
 CONTROL_TAG_BASE = 2_000_000
 
 #: payload size of a protocol control message (bookmark, barrier token)
@@ -1362,29 +1357,8 @@ class MpiRuntime:
         if op.seconds > 0:
             yield self.sim.timeout(op.seconds)
 
-    def _op_barrier(self, ctx: RankContext, op: Barrier) -> Generator[Event, None, None]:
-        participants = op.participants or tuple(range(self.n_ranks))
-        steps = coll.barrier_schedule(ctx.rank, participants)
-        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
-
-    def _op_bcast(self, ctx: RankContext, op: Bcast) -> Generator[Event, None, None]:
-        participants = op.participants or tuple(range(self.n_ranks))
-        steps = coll.bcast_schedule(ctx.rank, op.root, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
-
-    def _op_reduce(self, ctx: RankContext, op: Reduce) -> Generator[Event, None, None]:
-        participants = op.participants or tuple(range(self.n_ranks))
-        steps = coll.reduce_schedule(ctx.rank, op.root, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
-
-    def _op_allreduce(self, ctx: RankContext, op: Allreduce) -> Generator[Event, None, None]:
-        participants = op.participants or tuple(range(self.n_ranks))
-        steps = coll.allreduce_schedule(ctx.rank, participants, op.nbytes)
-        yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
-
-    def _op_allgather(self, ctx: RankContext, op: Allgather) -> Generator[Event, None, None]:
-        participants = op.participants or tuple(range(self.n_ranks))
-        steps = coll.allgather_schedule(ctx.rank, participants, op.nbytes)
+    def _op_collective(self, ctx: RankContext, op: Op) -> Generator[Event, None, None]:
+        steps = schedule_for(op, ctx.rank, self.n_ranks)
         yield from self._run_schedule(ctx, steps, COLLECTIVE_TAG_BASE + op.tag)
 
     #: exact-type dispatch for the operation kinds :meth:`_run_rank` does
@@ -1392,11 +1366,7 @@ class MpiRuntime:
     _OP_DISPATCH = {
         Isend: _op_isend,
         Wait: _op_wait,
-        Barrier: _op_barrier,
-        Bcast: _op_bcast,
-        Reduce: _op_reduce,
-        Allreduce: _op_allreduce,
-        Allgather: _op_allgather,
+        **dict.fromkeys(COLLECTIVES, _op_collective),
     }
 
     def _run_rank(self, ctx: RankContext, program: Iterable[Op],

@@ -6,6 +6,10 @@ module defines that record, a container with persistence (plain CSV-like
 text, so traces can be inspected and diffed), and aggregate views
 (pairwise communication matrix, per-channel totals) used both by the group
 formation algorithm (Algorithm 2 preprocessing) and by the analysis layer.
+
+Scripts are deterministic, so :func:`script_trace` reads the send records a
+failure-free traced run would produce straight off the ranks' op scripts,
+without simulating them.
 """
 
 from __future__ import annotations
@@ -13,9 +17,12 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
+
+from repro.mpi.collectives import COLLECTIVE_TAG_BASE, COLLECTIVES, schedule_for
+from repro.mpi.ops import Compute, Isend, Marker, Op, Recv, Send, SendRecv, Wait
 
 
 @dataclass(frozen=True)
@@ -224,3 +231,48 @@ class TraceLog:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = f", truncated ({self.dropped_records} dropped)" if self.truncated else ""
         return f"<TraceLog {len(self.records)} records, {self.total_bytes} bytes{extra}>"
+
+
+#: op classes that send nothing, matched by exact type as the runtime runs them
+_SILENT_OPS = (Compute, Recv, Marker, Wait)
+
+#: every op class :func:`script_trace` reads (the runtime runs exactly these)
+SCRIPT_OPS = frozenset((SendRecv, Send, Isend) + COLLECTIVES + _SILENT_OPS)
+
+
+def script_trace(program: Callable[[int], Iterable[Op]], n_ranks: int) -> TraceLog:
+    """The send records of a failure-free run of ``program``, read off its scripts.
+
+    A run that completes executes every op of every rank's script once, and
+    each application send is one record: a ``SendRecv``, ``Send`` or
+    ``Isend`` gives ``(rank, dst, nbytes, tag)``, and a collective gives one
+    record per send of its schedule, tagged ``COLLECTIVE_TAG_BASE + tag``.
+    Records are in rank order and carry ``timestamp=0.0``; Algorithm 2 reads
+    only per-pair totals, so a formation from this trace equals one from a
+    simulated traced run.  Raises what the runtime raises: ``TypeError`` for
+    an op class it does not run, ``ValueError`` for a destination outside
+    ``[0, n_ranks)``.
+    """
+    records: List[TraceRecord] = []
+    append = records.append
+    for rank in range(n_ranks):
+        for op in program(rank):
+            cls = op.__class__
+            if cls is SendRecv:
+                sends = ((op.dst, op.send_nbytes, op.tag),)
+            elif cls is Send or cls is Isend:
+                sends = ((op.dst, op.nbytes, op.tag),)
+            elif cls in COLLECTIVES:
+                tag = COLLECTIVE_TAG_BASE + op.tag
+                sends = tuple((peer, nbytes, tag)
+                              for action, peer, nbytes in schedule_for(op, rank, n_ranks)
+                              if action == "send")
+            elif cls in _SILENT_OPS:
+                continue
+            else:
+                raise TypeError(f"unsupported operation type {cls.__name__}")
+            for dst, nbytes, tag in sends:
+                if not 0 <= dst < n_ranks:
+                    raise ValueError(f"destination rank {dst} out of range")
+                append(TraceRecord(rank, dst, nbytes, 0.0, tag))
+    return TraceLog(records, n_ranks=n_ranks)

@@ -6,6 +6,11 @@ a :class:`~repro.mpi.trace.TraceLog` that the group-formation algorithm
 analyses.  The tracer can optionally charge a (tiny) per-record overhead to
 the sender, so the cost of tracing itself can be studied; the paper describes
 the tracer as light-weight and subsequent production runs drop it entirely.
+
+The experiment runner does not simulate a traced run: scripts are
+deterministic, so :func:`~repro.mpi.trace.script_trace` reads the same send
+records off them.  This runtime hook is the reference that script trace is
+tested against (``tests/test_script_trace.py``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ the communicator actually running.  ``program(rank)`` and
 * under any other partition a rank's program is the step-wise merge of its
   units' native scripts with peer references remapped through the partition
   (see :meth:`Workload._merge_units`), which is what elastic shrink/expand
-  restart runs on.
+  restart runs on.  Each rank's merged script is derived once per partition
+  and each distinct native op remapped once, so the ranks' cached scripts
+  share their (frozen) op objects.
 
 Workloads are deterministic: the same parameters always produce the same
 scripts, so experiment repeats differ only through the runtime's seeded noise
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.mpi.ops import (
     Allgather,
@@ -48,6 +50,19 @@ from repro.mpi.ops import (
 from repro.workloads.domain import Domain, Partition, WorkUnit
 
 _COLLECTIVES = (Allreduce, Allgather, Barrier, Bcast, Reduce)
+_POINT_TO_POINT = (Send, Isend, SendRecv, Recv)
+
+
+def _remap(op: Op, owner: Tuple[int, ...]) -> Tuple[Optional[Op], Optional[Op]]:
+    """The (send, receive) a point-to-point op becomes, peers mapped to owner ranks."""
+    if isinstance(op, (Send, Isend)):
+        return replace(op, dst=owner[op.dst]), None
+    if isinstance(op, SendRecv):
+        # src=None is a send-only exchange (as _run_rank runs it), not an
+        # ANY_SOURCE receive
+        recv = Recv(src=owner[op.src], tag=op.tag) if op.src is not None else None
+        return Isend(dst=owner[op.dst], nbytes=op.send_nbytes, tag=op.tag), recv
+    return None, replace(op, src=owner[op.src] if op.src is not None else None)
 
 
 class _StepStream:
@@ -99,6 +114,11 @@ class Workload:
         #: rank → (step-boundary op indices, script length) of the derived
         #: script, for mapping an op cursor to completed steps
         self._step_layout: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        #: rank → merged script under a non-identity partition
+        self._merged: Dict[int, List[Op]] = {}
+        #: native op → what it becomes under the partition: the (send,
+        #: receive) pair of a point-to-point op, the re-scoped collective
+        self._remapped: Dict[Op, Union[Op, Tuple[Optional[Op], Optional[Op]]]] = {}
 
     # -- per-unit interface (implemented by subclasses) -------------------------
     def native_program(self, unit: int) -> Iterator[Op]:
@@ -116,7 +136,10 @@ class Workload:
         if part is None or (part.is_identity and self._start_step == 0):
             return self.native_program(rank)
         self._check_rank(rank)
-        return self._merge_units(part.units_of(rank), part)
+        script = self._merged.get(rank)
+        if script is None:
+            script = self._merged[rank] = list(self._merge_units(part.units_of(rank), part))
+        return iter(script)
 
     def memory_bytes(self, rank: int) -> int:
         """Resident set of the application on ``rank`` (bytes)."""
@@ -163,6 +186,8 @@ class Workload:
         self.n_ranks = partition.n_ranks
         self._total_ops.clear()
         self._step_layout.clear()
+        self._merged.clear()
+        self._remapped.clear()
 
     def domain(self) -> Domain:
         """The rank-count-independent work description (scanned once).
@@ -248,6 +273,7 @@ class Workload:
         """
         owner = part.owner
         active = part.active_ranks()
+        remapped = self._remapped
         streams = [_StepStream(self.native_program(u)) for u in units]
         skip = self._start_step
         while True:
@@ -269,21 +295,15 @@ class Workload:
                 for op in st:
                     if isinstance(op, Marker):
                         continue
-                    if isinstance(op, Send):
-                        sends.append(replace(op, dst=owner[op.dst]))
-                    elif isinstance(op, Isend):
-                        sends.append(replace(op, dst=owner[op.dst]))
-                    elif isinstance(op, SendRecv):
-                        sends.append(Isend(dst=owner[op.dst],
-                                           nbytes=op.send_nbytes, tag=op.tag))
-                        # src=None is a send-only exchange (as _run_rank
-                        # runs it), not an ANY_SOURCE receive
-                        if op.src is not None:
-                            recvs.append(Recv(src=owner[op.src], tag=op.tag))
-                    elif isinstance(op, Recv):
-                        recvs.append(replace(
-                            op,
-                            src=owner[op.src] if op.src is not None else None))
+                    if isinstance(op, _POINT_TO_POINT):
+                        pair = remapped.get(op)
+                        if pair is None:
+                            pair = remapped[op] = _remap(op, owner)
+                        send, recv = pair
+                        if send is not None:
+                            sends.append(send)
+                        if recv is not None:
+                            recvs.append(recv)
                     elif isinstance(op, _COLLECTIVES):
                         collectives.append(op)
                     else:
@@ -296,7 +316,10 @@ class Workload:
                 if op in seen:
                     continue
                 seen.append(op)
-                yield replace(op, participants=active)
+                scoped = remapped.get(op)
+                if scoped is None:
+                    scoped = remapped[op] = replace(op, participants=active)
+                yield scoped
 
     # -- helpers ----------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:

@@ -38,7 +38,7 @@ def _run(config, fast: bool):
     previous = os.environ.get(FAST_PATH_ENV)
     os.environ[FAST_PATH_ENV] = "1" if fast else "0"
     try:
-        # fresh trace/group caches so the toggle also covers the trace runs
+        # fresh trace/group caches, so each path derives its own formation
         runner.clear_caches()
         result = runner.run_scenario(config)
     finally:

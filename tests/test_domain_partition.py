@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.elastic import measured_totals
 from repro.experiments.runner import build_workload
-from repro.mpi.ops import Compute, Isend, Marker, Recv, SendRecv
+from repro.mpi.ops import Compute, Isend, Marker, Recv, Send, SendRecv
 from repro.workloads.base import Workload
 from repro.workloads.domain import Domain, Partition, RepartitionPlan, WorkUnit
 
@@ -150,6 +150,49 @@ def test_total_operations_cached_and_invalidated():
     assert not wl._total_ops
     merged = wl.total_operations(0)
     assert merged == wl.total_operations(0)
+
+
+def test_merged_script_is_derived_once_per_partition(monkeypatch):
+    """Two calls yield the same merged script from one derivation; a new
+    partition (or resume step) derives it again from the new layout."""
+    wl = build_workload("halo2d", 12, {"n_units": 16, "iterations": 3})
+    merges = []
+    merge = wl._merge_units
+
+    def counting(*args):
+        merges.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(wl, "_merge_units", counting)
+    first = list(wl.program(5))
+    assert list(wl.program(5)) == first
+    assert len(merges) == 1
+    for start_step in (0, 1):
+        shrunk = Partition.block(16, 10)
+        wl.set_partition(shrunk, start_step=start_step)
+        fresh = build_workload("halo2d", 16, {"iterations": 3})
+        fresh.set_partition(shrunk, start_step=start_step)
+        assert list(wl.program(5)) == list(fresh.program(5)) != first
+    assert len(merges) == 3
+
+
+def test_merged_scripts_share_remapped_ops():
+    """Each distinct native op is remapped once per partition: ranks share
+    the remapped objects, and an exchange re-yielded every iteration stays
+    one object per neighbour, not one per iteration."""
+    wl = build_workload("master-worker", 4, {"n_units": 6, "iterations": 3})
+    sends = [[op for op in wl.program(rank) if isinstance(op, Send)] for rank in (2, 3)]
+    # units 4 and 5 (ranks 2 and 3) send each result to the master's rank
+    assert len(sends[0]) == len(sends[1]) == 3
+    assert {id(op) for op in sends[0]} == {id(op) for op in sends[1]}
+    assert len({id(op) for op in sends[0]}) == 1
+
+    wl = build_workload("halo2d", 12, {"n_units": 16, "iterations": 5})
+    for rank in range(12):
+        isends = [op for op in wl.program(rank) if isinstance(op, Isend)]
+        n_units = len(wl.partition.units_of(rank))
+        assert len(isends) == 5 * 4 * n_units
+        assert len({id(op) for op in isends}) <= 4 * n_units
 
 
 # ------------------------------------------------------------------- partition

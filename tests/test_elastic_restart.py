@@ -49,7 +49,7 @@ def _run_elastic(kills, workload="halo2d", method="GP4", n=8, storage="remote",
     spec = dataclasses.replace(GIDEON_300,
                                n_nodes=n_nodes or max(GIDEON_300.n_nodes, n),
                                checkpoint_storage=storage)
-    family = build_family(method, n, workload, spec, {}, None, None)
+    family = build_family(method, n, workload, {}, None, None)
     sim = Simulator()
     cluster = Cluster(sim, spec)
     runtime = MpiRuntime(sim, cluster, n, protocol_family=family,

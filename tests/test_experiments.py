@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.ckpt.scheduler import one_shot
-from repro.cluster.topology import GIDEON_300
 from repro.campaign.executor import Campaign, reset_default_campaign, set_default_campaign
 from repro.campaign.results import StoredResult
 from repro.campaign.store import scenario_key
@@ -18,9 +17,11 @@ from repro.experiments.failures import (
 from repro.experiments.runner import (
     build_family,
     build_workload,
+    clear_caches,
     obtain_groups,
     run_scenario,
 )
+from repro.sim.engine import Simulator
 
 
 # --------------------------------------------------------------------------------- config
@@ -55,16 +56,16 @@ def test_build_workload_by_name():
 
 
 def test_build_family_by_method():
-    assert build_family("NORM", 8, "ring", GIDEON_300).name == "NORM"
-    assert build_family("GP1", 8, "ring", GIDEON_300).name == "GP1"
-    assert build_family("GP4", 8, "ring", GIDEON_300).name == "GP4"
-    assert build_family("VCL", 8, "ring", GIDEON_300).name == "VCL"
+    assert build_family("NORM", 8, "ring").name == "NORM"
+    assert build_family("GP1", 8, "ring").name == "GP1"
+    assert build_family("GP4", 8, "ring").name == "GP4"
+    assert build_family("VCL", 8, "ring").name == "VCL"
     with pytest.raises(ValueError):
-        build_family("BOGUS", 8, "ring", GIDEON_300)
+        build_family("BOGUS", 8, "ring")
 
 
 def test_obtain_groups_for_hpl_quick_matches_columns():
-    groups = obtain_groups("hpl", 16, GIDEON_300, QUICK.hpl_options, max_group_size=8)
+    groups = obtain_groups("hpl", 16, QUICK.hpl_options, max_group_size=8)
     # 16 ranks on an 8x2 grid: two columns of 8
     assert groups.members(0) == (0, 2, 4, 6, 8, 10, 12, 14)
     assert groups.members(1) == (1, 3, 5, 7, 9, 11, 13, 15)
@@ -200,6 +201,22 @@ def test_figure8_resend_operations_stay_integers():
     out = FIGURES["figure8"].tables([StoredResult(c, {"resend_operations": 7})
                                      for c in configs])
     assert all(type(v) is int for s in out["series"] for v in s.y)
+
+
+def test_figure3_and_table1_render_from_stored_results_without_simulating(monkeypatch):
+    # a warm render re-derives the HPL trace and groups from the row's config;
+    # the trace is read off the scripts, so no simulator is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm render must not simulate")
+
+    clear_caches()
+    monkeypatch.setattr(Simulator, "__init__", refuse)
+    out = {name: FIGURES[name].tables([StoredResult(c, {})
+                                       for c in FIGURES[name].configs(profile=QUICK)])
+           for name in ("figure3", "table1")}
+    assert out["table1"]["groupset"].members(0) == (0, 4, 8, 12, 16, 20, 24, 28)
+    assert len(out["figure3"]["table"].rows) == 3
+    clear_caches()
 
 
 @pytest.mark.parametrize("profile", [QUICK, FULL], ids=lambda p: p.name)

@@ -48,7 +48,7 @@ def _launch(method="GP4", n=16, workload="halo2d", interval=0.3, seed=7,
     """Build a runtime (+ optional injector) for a QUICK-ish scenario."""
     wl = build_workload(workload, n, {})
     spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, n))
-    family = build_family(method, n, workload, spec, {}, None, None)
+    family = build_family(method, n, workload, {}, None, None)
     sim = Simulator()
     cluster = Cluster(sim, spec)
     runtime = MpiRuntime(sim, cluster, n, protocol_family=family,

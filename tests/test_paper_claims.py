@@ -40,7 +40,7 @@ def hpl32():
 
 def test_claim_group_formation_matches_process_grid():
     """Section 5.1 / Table 1: trace analysis groups each process column together."""
-    trace = obtain_trace("hpl", 32, GIDEON_300, HPL_OPTS)
+    trace = obtain_trace("hpl", 32, HPL_OPTS)
     groupset = form_groups(trace, max_group_size=8, n_ranks=32).groupset
     expected = {tuple(range(c, 32, 4)) for c in range(4)}
     assert set(groupset.groups) == expected

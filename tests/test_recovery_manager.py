@@ -46,7 +46,7 @@ def _launch(method="GP4", n=16, workload="halo2d", interval=0.3, seed=7,
     wl = build_workload(workload, n, {})
     if spec is None:
         spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, n))
-    family = build_family(method, n, workload, spec, {}, None, None)
+    family = build_family(method, n, workload, {}, None, None)
     sim = Simulator()
     cluster = Cluster(sim, spec)
     runtime = MpiRuntime(sim, cluster, n, protocol_family=family,

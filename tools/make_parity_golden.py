@@ -1,16 +1,25 @@
 #!/usr/bin/env python
-"""Regenerate the determinism-parity golden file and the QUICK tables golden.
+"""Regenerate the determinism goldens: parity metrics, QUICK tables, perfbench digests.
 
-Runs every scenario of :func:`repro.experiments.parity.quick_parity_configs`
-on the current kernel and writes their simulated metrics to
-``tests/data/quick_parity_golden.json``.  Then runs
-``examples/reproduce_paper.py`` at the QUICK profile and writes its tables,
-without the ``=== ``, ``Profile: `` and ``Campaign: `` lines, to
-``tests/data/quick_tables_golden.txt`` (next to ``--out``), which CI's
-paper-quick job diffs its in-memory run against.  The committed parity
-golden was produced by the pre-fast-path kernel; regenerate either file
-only when a change is *meant* to alter simulated results (and say so in the
-commit message).
+Writes three files in one run, all into the directory of ``--out``:
+
+* ``--out`` itself (default ``tests/data/quick_parity_golden.json``): the
+  simulated metrics of every scenario of
+  :func:`repro.experiments.parity.quick_parity_configs`, which
+  ``tests/test_determinism_parity.py`` asserts bit for bit;
+* ``quick_tables_golden.txt``: ``examples/reproduce_paper.py``'s QUICK
+  tables, without the ``=== ``, ``Profile: `` and ``Campaign: `` lines,
+  which CI's tests and paper-quick jobs diff their in-memory run against;
+* ``perfbench_digests.json``: the ``sim_digest`` sha256 of every perfbench
+  workload at seeds 0-3 (``perfbench/scenarios.py``'s
+  ``build(name, seed).run().digest()``), which CI's perfbench-smoke job
+  checks its runs against.
+
+Each file holds only what a check reads, so regenerating on an unchanged
+model reproduces the committed files byte for byte.  Regenerate into
+``tests/data`` only when a change is *meant* to alter simulated results (and
+say so in the commit message); to see what a change moved, regenerate into a
+scratch directory and diff.
 
 Usage::
 
@@ -24,6 +33,7 @@ import json
 import os
 import subprocess
 import sys
+from typing import Dict
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -35,6 +45,9 @@ from repro.experiments.runner import run_scenario
 #: run-specific lines of ``reproduce_paper.py`` that the tables golden drops
 TABLE_HEADER_PREFIXES = ("=== ", "Profile: ", "Campaign: ")
 
+#: perfbench seeds whose digests the perfbench golden records
+PERFBENCH_SEEDS = (0, 1, 2, 3)
+
 
 def quick_tables() -> str:
     """``reproduce_paper.py``'s QUICK tables in memory, header lines dropped."""
@@ -43,6 +56,21 @@ def quick_tables() -> str:
                          check=True, capture_output=True, text=True, env=env, cwd=ROOT).stdout
     return "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith(TABLE_HEADER_PREFIXES))
+
+
+def perfbench_digests() -> Dict[str, str]:
+    """``{"<workload> --seed <n>": sim_digest sha256}`` of every perfbench workload."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import scenarios
+
+    return {f"{name} --seed {seed}": scenarios.build(name, seed).run().digest()["sha256"]
+            for seed in PERFBENCH_SEEDS for name in scenarios.WORKLOADS}
+
+
+def write_json(path: str, data: object) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main() -> None:
@@ -57,32 +85,26 @@ def main() -> None:
     golden = {}
     for config in quick_parity_configs():
         label = scenario_label(config)
-        result = run_scenario(config)
-        metrics = parity_metrics(result)
-        sim = result.app.contexts[0].sim
-        golden[label] = {
-            "metrics": metrics,
-            # informational: heap events processed by the *app* simulation
-            # (restart runs its own simulator); not asserted bit-exactly
-            # across kernel generations, only within one.
-            "processed_events": sim.processed_events,
-        }
+        metrics = parity_metrics(run_scenario(config))
+        golden[label] = {"metrics": metrics}
         print(f"{label}: makespan={metrics['makespan']:.6f} "
-              f"ckpts={metrics['checkpoints_completed']} "
-              f"events={sim.processed_events}")
+              f"ckpts={metrics['checkpoints_completed']}")
 
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(golden, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(out_dir, exist_ok=True)
+    write_json(args.out, golden)
     print(f"\nwrote {len(golden)} scenarios to {args.out}")
 
     tables = quick_tables()
-    tables_path = os.path.join(os.path.dirname(os.path.abspath(args.out)),
-                               "quick_tables_golden.txt")
+    tables_path = os.path.join(out_dir, "quick_tables_golden.txt")
     with open(tables_path, "w") as fh:
         fh.write(tables)
     print(f"wrote {tables.count(chr(10))} table lines to {tables_path}")
+
+    digests = perfbench_digests()
+    digests_path = os.path.join(out_dir, "perfbench_digests.json")
+    write_json(digests_path, digests)
+    print(f"wrote {len(digests)} perfbench digests to {digests_path}")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     options = json.loads(args.options) if args.options else None
     workload = build_workload(args.workload, args.ranks, options)
     cluster_spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, args.ranks))
-    family = build_family(args.method, args.ranks, args.workload, cluster_spec, options)
+    family = build_family(args.method, args.ranks, args.workload, options)
     sim = Simulator()
     cluster = Cluster(sim, cluster_spec)
     runtime = MpiRuntime(sim, cluster, args.ranks, protocol_family=family,
@@ -97,8 +97,7 @@ def main(argv=None) -> int:
         import tracemalloc
 
         workload = build_workload(args.workload, args.ranks, options)
-        family = build_family(args.method, args.ranks, args.workload,
-                              cluster_spec, options)
+        family = build_family(args.method, args.ranks, args.workload, options)
         sim = Simulator()
         cluster = Cluster(sim, cluster_spec)
         runtime = MpiRuntime(sim, cluster, args.ranks, protocol_family=family,
