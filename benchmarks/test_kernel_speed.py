@@ -39,9 +39,8 @@ against the parent commit measured on the same host at the same time: with
 a scenario fails when its median here over the parent's median falls below
 ``1 - tolerance``.  ``tolerance`` and ``enforce`` come from the checked-in
 baseline (``--baseline``, default ``benchmarks/kernel_speed_baseline.json``);
-its absolute per-scenario numbers, recorded on one reference host, are
-printed next to the parent comparison for reference.  Without ``--against``,
-``--baseline`` gates on those absolute numbers (refresh them on the
+its absolute per-scenario numbers, recorded on one reference host, are only
+printed, with or without ``--against``, and never gate (refresh them on the
 reference machine with ``--update-baseline``).  ``--load CHANGE.json...``
 compares earlier ``--json`` runs instead of measuring, so the two sides can
 be run alternately and compared afterwards.
@@ -310,8 +309,9 @@ def compare(
 
     A scenario *regresses* when its measured metric falls below
     ``reference × (1 − tolerance)``.  Scenarios without a reference are
-    reported but never gate.  Violations only fail the run when the baseline
-    sets ``"enforce": true`` (the caller decides).
+    reported but never gate.  Only the parent comparison's violations fail
+    the run, and only when the baseline sets ``"enforce": true`` (``main``
+    decides).
     """
     lines: List[str] = []
     violations: List[str] = []
@@ -333,7 +333,7 @@ def compare(
 def compare_to_baseline(
     payloads: List[Dict[str, object]], baseline: Dict[str, object]
 ) -> Tuple[List[str], List[str]]:
-    """Compare measurements to the baseline's recorded numbers."""
+    """Compare measurements to the baseline's recorded numbers (printed, never gating)."""
     metric = str(baseline.get("metric", "equivalent_events_per_s"))
     return compare(median_by_scenario(payloads, metric), baseline.get("scenarios", {}),
                    "baseline", metric, float(baseline.get("tolerance", 0.3)))
@@ -464,17 +464,15 @@ def main(argv=None) -> int:
                              "of running scenarios (several runs of one commit: "
                              "each scenario's median is compared)")
     parser.add_argument("--baseline", default=None,
-                        help="compare against this regression-baseline JSON; "
-                             "fails when the baseline enforces and a scenario "
-                             "regresses beyond its tolerance band")
+                        help="print a comparison with this regression baseline's "
+                             "recorded numbers (never gates); with --against, "
+                             "its tolerance and enforce flag set the gate")
     parser.add_argument("--against", nargs="+", default=None, metavar="PARENT_JSON",
-                        help="gate on the parent commit instead: these are --json "
-                             "files of the parent's own runs, and a scenario "
-                             "fails when its median here over the parent's median "
-                             "is below 1 - tolerance.  Tolerance and enforce come "
-                             "from --baseline (default: the checked-in baseline), "
-                             "whose absolute numbers are then printed for "
-                             "reference only")
+                        help="gate on the parent commit: these are --json files "
+                             "of the parent's own runs, and a scenario fails when "
+                             "its median here over the parent's median is below "
+                             "1 - tolerance.  Tolerance and enforce come from "
+                             "--baseline (default: the checked-in baseline)")
     parser.add_argument("--update-baseline", action="store_true",
                         help=f"rewrite {BASELINE_PATH} from this run's numbers")
     parser.add_argument("--footprint", action="store_true",
@@ -532,23 +530,21 @@ def main(argv=None) -> int:
     if args.baseline or args.against:
         baseline_path = args.baseline or BASELINE_PATH
         baseline = load_baseline(baseline_path)
-        enforce = bool(baseline.get("enforce", False))
         lines, violations = compare_to_baseline(payloads, baseline)
-        gated = not args.against
-        print(f"\nbaseline comparison ({baseline_path}, "
-              f"{'enforcing' if enforce and gated else 'report-only'}):")
+        print(f"\nbaseline comparison ({baseline_path}, report-only):")
         for line in lines + violations:
             print(f"  {line}")
         if args.against:
+            enforce = bool(baseline.get("enforce", False))
             parent = [payload for path in args.against for payload in load_measurements(path)]
             lines, violations = compare_to_parent(payloads, parent, baseline)
             print(f"\nparent comparison ({' '.join(args.against)}, "
                   f"{'enforcing' if enforce else 'report-only'}):")
             for line in lines + violations:
                 print(f"  {line}")
-        if violations and enforce:
-            print(f"{len(violations)} scenario(s) regressed beyond tolerance")
-            return 1
+            if violations and enforce:
+                print(f"{len(violations)} scenario(s) regressed beyond tolerance")
+                return 1
     return 0
 
 

@@ -33,23 +33,10 @@ from bisect import bisect_right
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.mpi.ops import (
-    Allgather,
-    Allreduce,
-    Barrier,
-    Bcast,
-    Compute,
-    Isend,
-    Marker,
-    Op,
-    Recv,
-    Reduce,
-    Send,
-    SendRecv,
-)
+from repro.mpi.collectives import COLLECTIVES
+from repro.mpi.ops import Compute, Isend, Marker, Op, Recv, Send, SendRecv
 from repro.workloads.domain import Domain, Partition, WorkUnit
 
-_COLLECTIVES = (Allreduce, Allgather, Barrier, Bcast, Reduce)
 _POINT_TO_POINT = (Send, Isend, SendRecv, Recv)
 
 
@@ -304,7 +291,7 @@ class Workload:
                             sends.append(send)
                         if recv is not None:
                             recvs.append(recv)
-                    elif isinstance(op, _COLLECTIVES):
+                    elif isinstance(op, COLLECTIVES):
                         collectives.append(op)
                     else:
                         # Compute, Wait, and any local op: emitted up front

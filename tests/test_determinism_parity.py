@@ -16,6 +16,7 @@ The fast-path refactor must be invisible in simulated results:
 import json
 import os
 
+import numpy
 import pytest
 
 from repro.cluster.network import FAST_ETHERNET, FAST_PATH_ENV, Network
@@ -24,6 +25,7 @@ from repro.experiments.parity import parity_metrics, quick_parity_configs, scena
 from repro.sim.engine import Simulator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "quick_parity_golden.json")
+NUMPY_VERSION_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_numpy_version.txt")
 CONFIGS = quick_parity_configs()
 
 #: per-label cache of (metrics, processed_events, events_elided) per path so
@@ -62,12 +64,21 @@ def golden():
         return json.load(fh)
 
 
+def _numpy_mismatch() -> str:
+    """Names a numpy other than the goldens' own: its random streams may differ."""
+    with open(NUMPY_VERSION_PATH) as fh:
+        recorded = fh.read().strip()
+    if recorded == numpy.__version__:
+        return ""
+    return f"goldens generated with numpy {recorded}, this run has numpy {numpy.__version__}"
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=scenario_label)
 def test_fast_path_matches_pre_refactor_golden(config, golden):
     """Default (fast) runs reproduce the seed kernel's metrics bit-for-bit."""
     metrics, _, elided, stats = _run(config, fast=True)
     expected = golden[scenario_label(config)]["metrics"]
-    assert metrics == expected
+    assert metrics == expected, _numpy_mismatch()
     # the fast path must actually engage, not vacuously agree
     assert elided > 0
     assert stats["fastpath_tx"] + stats["fastpath_rx"] + stats["fastpath_local"] > 0
@@ -78,7 +89,7 @@ def test_slow_path_matches_golden_and_event_accounting(config, golden):
     """The forced coroutine model agrees bit-for-bit, event-for-event."""
     slow_metrics, slow_events, slow_elided, _ = _run(config, fast=False)
     fast_metrics, fast_events, fast_elided, _ = _run(config, fast=True)
-    assert slow_metrics == golden[scenario_label(config)]["metrics"]
+    assert slow_metrics == golden[scenario_label(config)]["metrics"], _numpy_mismatch()
     assert slow_metrics == fast_metrics
     # the slow path elides nothing, and every event the fast path skipped is
     # accounted for exactly

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate the determinism goldens: parity metrics, QUICK tables, perfbench digests.
 
-Writes three files in one run, all into the directory of ``--out``:
+Writes four files in one run, all into the directory of ``--out``:
 
 * ``--out`` itself (default ``tests/data/quick_parity_golden.json``): the
   simulated metrics of every scenario of
@@ -9,14 +9,19 @@ Writes three files in one run, all into the directory of ``--out``:
   ``tests/test_determinism_parity.py`` asserts bit for bit;
 * ``quick_tables_golden.txt``: ``examples/reproduce_paper.py``'s QUICK
   tables, without the ``=== ``, ``Profile: `` and ``Campaign: `` lines,
-  which CI's tests and paper-quick jobs diff their in-memory run against;
+  which CI's tests job diffs its in-memory run against (paper-quick its
+  cold and warm runs into a store);
 * ``perfbench_digests.json``: the ``sim_digest`` sha256 of every perfbench
   workload at seeds 0-3 (``perfbench/scenarios.py``'s
   ``build(name, seed).run().digest()``), which CI's perfbench-smoke job
-  checks its runs against.
+  checks its runs against;
+* ``golden_numpy_version.txt``: the numpy version the goldens were generated
+  with.  numpy does not promise its ``Generator`` streams stay the same across
+  releases, so CI installs this version, and the parity test names a
+  mismatch when a golden differs.
 
 Each file holds only what a check reads, so regenerating on an unchanged
-model reproduces the committed files byte for byte.  Regenerate into
+model with the recorded numpy reproduces the committed files byte for byte.  Regenerate into
 ``tests/data`` only when a change is *meant* to alter simulated results (and
 say so in the commit message); to see what a change moved, regenerate into a
 scratch directory and diff.
@@ -34,6 +39,8 @@ import os
 import subprocess
 import sys
 from typing import Dict
+
+import numpy
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -105,6 +112,11 @@ def main() -> None:
     digests_path = os.path.join(out_dir, "perfbench_digests.json")
     write_json(digests_path, digests)
     print(f"wrote {len(digests)} perfbench digests to {digests_path}")
+
+    numpy_path = os.path.join(out_dir, "golden_numpy_version.txt")
+    with open(numpy_path, "w") as fh:
+        fh.write(numpy.__version__ + "\n")
+    print(f"wrote numpy {numpy.__version__} to {numpy_path}")
 
 
 if __name__ == "__main__":
