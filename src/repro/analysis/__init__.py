@@ -1,37 +1,13 @@
 """Analysis utilities: metrics, trace statistics, report/series builders."""
 
-from repro.analysis.metrics import (
-    CheckpointBreakdown,
-    stage_breakdown,
-    aggregate_checkpoint_time,
-    aggregate_coordination_time,
-    aggregate_restart_time,
-    progress_gap_fraction,
-    checkpoint_windows,
-)
-from repro.analysis.trace_analysis import (
-    communication_summary,
-    top_pairs,
-    pair_volume_histogram,
-)
-from repro.analysis.reporting import Series, Table, format_table
-from repro.analysis.advisor import MeasuredCosts, measured_costs, suggest_checkpoint_interval
+from repro import lazy_exports
 
-__all__ = [
-    "CheckpointBreakdown",
-    "stage_breakdown",
-    "aggregate_checkpoint_time",
-    "aggregate_coordination_time",
-    "aggregate_restart_time",
-    "progress_gap_fraction",
-    "checkpoint_windows",
-    "communication_summary",
-    "top_pairs",
-    "pair_volume_histogram",
-    "Series",
-    "Table",
-    "format_table",
-    "MeasuredCosts",
-    "measured_costs",
-    "suggest_checkpoint_interval",
-]
+_EXPORTS = {
+    ".metrics": ("CheckpointBreakdown", "stage_breakdown", "aggregate_checkpoint_time",
+                 "aggregate_coordination_time", "aggregate_restart_time",
+                 "progress_gap_fraction", "checkpoint_windows"),
+    ".trace_analysis": ("communication_summary", "top_pairs", "pair_volume_histogram"),
+    ".reporting": ("Series", "Table", "format_table"),
+    ".advisor": ("MeasuredCosts", "measured_costs", "suggest_checkpoint_interval"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -49,73 +49,20 @@ Workflow (PyExperimenter-style)::
     results = campaign.run(grid.expand())   # parallel; resumable; cached
 """
 
-from repro.campaign.executor import (
-    Campaign,
-    CampaignError,
-    campaign_worker,
-    drain_store,
-    execute_scenario,
-    get_default_campaign,
-    reset_default_campaign,
-    set_default_campaign,
-)
-from repro.campaign.cache import CachedEntry, GenerationCache
-from repro.campaign.export import (
-    average_over_seeds,
-    results_to_csv,
-    results_to_csv_text,
-    results_to_series,
-    results_to_table,
-    stored_results,
-    summary_table,
-)
-from repro.campaign.dashboard import render_progress_html, render_progress_text
-from repro.campaign.grid import ParameterGrid
-from repro.campaign.progress import (
-    CampaignProgress,
-    campaign_progress,
-    progress_tables,
-)
-from repro.campaign.results import StoredResult, metrics_payload
-from repro.campaign.store import (
-    STATUSES,
-    CampaignStore,
-    ExperimentRow,
-    config_from_dict,
-    config_to_dict,
-    scenario_key,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CachedEntry",
-    "Campaign",
-    "CampaignError",
-    "CampaignProgress",
-    "GenerationCache",
-    "average_over_seeds",
-    "campaign_progress",
-    "CampaignStore",
-    "ExperimentRow",
-    "ParameterGrid",
-    "STATUSES",
-    "StoredResult",
-    "campaign_worker",
-    "config_from_dict",
-    "config_to_dict",
-    "drain_store",
-    "execute_scenario",
-    "reset_default_campaign",
-    "get_default_campaign",
-    "metrics_payload",
-    "progress_tables",
-    "render_progress_html",
-    "render_progress_text",
-    "results_to_csv",
-    "results_to_csv_text",
-    "results_to_series",
-    "results_to_table",
-    "scenario_key",
-    "set_default_campaign",
-    "stored_results",
-    "summary_table",
-]
+_EXPORTS = {
+    ".executor": ("Campaign", "CampaignError", "campaign_worker", "drain_store",
+                  "execute_scenario", "get_default_campaign", "reset_default_campaign",
+                  "set_default_campaign"),
+    ".cache": ("CachedEntry", "GenerationCache"),
+    ".export": ("average_over_seeds", "results_to_csv", "results_to_csv_text",
+                "results_to_series", "results_to_table", "stored_results", "summary_table"),
+    ".dashboard": ("render_progress_html", "render_progress_text"),
+    ".grid": ("ParameterGrid",),
+    ".progress": ("CampaignProgress", "campaign_progress", "progress_tables"),
+    ".results": ("StoredResult", "metrics_payload"),
+    ".store": ("STATUSES", "CampaignStore", "ExperimentRow", "config_from_dict",
+               "config_to_dict", "scenario_key"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,43 +16,15 @@ Contents:
   configurations (NORM, GP, GP1, GP4) and VCL.
 """
 
-from repro.ckpt.base import (
-    STAGE_LOCK_MPI,
-    STAGE_COORDINATION,
-    STAGE_CHECKPOINT,
-    STAGE_FINALIZE,
-    STAGES,
-    CheckpointRequest,
-    CheckpointRecord,
-    RestartRecord,
-    CheckpointSnapshot,
-    ResumePoint,
-    ProtocolConfig,
-    RankProtocol,
-    ProtocolFamily,
-)
-from repro.ckpt.blcr import BlcrModel
-from repro.ckpt.logstore import SenderLog, LogEntry
-from repro.ckpt.scheduler import CheckpointSchedule, one_shot, periodic
+from repro import lazy_exports
 
-__all__ = [
-    "STAGE_LOCK_MPI",
-    "STAGE_COORDINATION",
-    "STAGE_CHECKPOINT",
-    "STAGE_FINALIZE",
-    "STAGES",
-    "CheckpointRequest",
-    "CheckpointRecord",
-    "RestartRecord",
-    "CheckpointSnapshot",
-    "ResumePoint",
-    "ProtocolConfig",
-    "RankProtocol",
-    "ProtocolFamily",
-    "BlcrModel",
-    "SenderLog",
-    "LogEntry",
-    "CheckpointSchedule",
-    "one_shot",
-    "periodic",
-]
+_EXPORTS = {
+    ".base": ("STAGE_LOCK_MPI", "STAGE_COORDINATION", "STAGE_CHECKPOINT", "STAGE_FINALIZE",
+              "STAGES", "CheckpointRequest", "CheckpointRecord", "RestartRecord",
+              "CheckpointSnapshot", "ResumePoint", "ProtocolConfig", "RankProtocol",
+              "ProtocolFamily"),
+    ".blcr": ("BlcrModel",),
+    ".logstore": ("SenderLog", "LogEntry"),
+    ".scheduler": ("CheckpointSchedule", "one_shot", "periodic"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

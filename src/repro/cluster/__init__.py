@@ -15,46 +15,16 @@ the checkpoint/restart protocols interact with:
 * :class:`~repro.cluster.failure.FailureModel` — failure injection.
 """
 
-from repro.cluster.node import Node, NodeSpec
-from repro.cluster.network import Network, NetworkSpec, FAST_ETHERNET, GIGABIT_ETHERNET, INFINIBAND_SDR
-from repro.cluster.storage import (
-    StorageSpec,
-    LocalDiskArray,
-    RemoteStorageServers,
-    StorageSystem,
-    LOCAL_IDE_DISK,
-    NFS_CHECKPOINT_SERVER,
-)
-from repro.cluster.topology import ClusterSpec, Cluster, GIDEON_300, NodeTopology
-from repro.cluster.failure import (
-    FailureModel,
-    FailureEvent,
-    ExponentialFailureModel,
-    PoissonFailureModel,
-    TraceFailureModel,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Node",
-    "NodeSpec",
-    "Network",
-    "NetworkSpec",
-    "FAST_ETHERNET",
-    "GIGABIT_ETHERNET",
-    "INFINIBAND_SDR",
-    "StorageSpec",
-    "LocalDiskArray",
-    "RemoteStorageServers",
-    "StorageSystem",
-    "LOCAL_IDE_DISK",
-    "NFS_CHECKPOINT_SERVER",
-    "ClusterSpec",
-    "Cluster",
-    "GIDEON_300",
-    "NodeTopology",
-    "FailureModel",
-    "FailureEvent",
-    "ExponentialFailureModel",
-    "PoissonFailureModel",
-    "TraceFailureModel",
-]
+_EXPORTS = {
+    ".node": ("Node", "NodeSpec"),
+    ".network": ("Network", "NetworkSpec", "FAST_ETHERNET", "GIGABIT_ETHERNET",
+                 "INFINIBAND_SDR"),
+    ".storage": ("StorageSpec", "LocalDiskArray", "RemoteStorageServers", "StorageSystem",
+                 "LOCAL_IDE_DISK", "NFS_CHECKPOINT_SERVER"),
+    ".topology": ("ClusterSpec", "Cluster", "GIDEON_300", "NodeTopology"),
+    ".failure": ("FailureModel", "FailureEvent", "ExponentialFailureModel",
+                 "PoissonFailureModel", "TraceFailureModel"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

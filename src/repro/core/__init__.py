@@ -12,21 +12,13 @@
   of S/R volumes with out-of-group processes, message replay/skip.
 """
 
-from repro.core.groups import GroupSet
-from repro.core.protocol import GroupProtocolFamily, GroupRankProtocol
-from repro.core.formation import form_groups, FormationResult, grouping_quality
-from repro.core.coordinator import CheckpointCoordinator
-from repro.core.restart import simulate_restart, RestartResult, replay_volumes
+from repro import lazy_exports
 
-__all__ = [
-    "GroupSet",
-    "GroupProtocolFamily",
-    "GroupRankProtocol",
-    "form_groups",
-    "FormationResult",
-    "grouping_quality",
-    "CheckpointCoordinator",
-    "simulate_restart",
-    "RestartResult",
-    "replay_volumes",
-]
+_EXPORTS = {
+    ".groups": ("GroupSet",),
+    ".protocol": ("GroupProtocolFamily", "GroupRankProtocol"),
+    ".formation": ("form_groups", "FormationResult", "grouping_quality"),
+    ".coordinator": ("CheckpointCoordinator",),
+    ".restart": ("simulate_restart", "RestartResult", "replay_volumes"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -202,39 +202,3 @@ def grouping_quality(groupset: GroupSet, trace: TraceLog) -> Dict[str, float]:
         "mean_group_size": float(groupset.mean_group_size),
     }
 
-
-def phased_group_formation(
-    trace: TraceLog,
-    n_phases: int,
-    max_group_size: Optional[int] = None,
-    n_ranks: Optional[int] = None,
-) -> List[FormationResult]:
-    """Form groups separately for successive phases of the execution.
-
-    The paper's future-work section notes that the communication pattern can
-    change between application stages, suggesting per-phase group formations.
-    This helper splits the trace into ``n_phases`` equal time windows and
-    runs Algorithm 2 on each, so the change in suggested grouping over time
-    can be inspected.
-    """
-    if n_phases < 1:
-        raise ValueError("n_phases must be >= 1")
-    if len(trace) == 0:
-        raise ValueError("cannot split an empty trace into phases")
-    t_start = min(r.timestamp for r in trace)
-    t_end = max(r.timestamp for r in trace)
-    span = max(t_end - t_start, 1e-9)
-    results: List[FormationResult] = []
-    for i in range(n_phases):
-        lo = t_start + span * i / n_phases
-        hi = t_start + span * (i + 1) / n_phases
-        if i == n_phases - 1:
-            hi = t_end + 1e-9
-        window = trace.time_window(lo, hi)
-        if len(window) == 0:
-            # An idle phase keeps the previous suggestion (or singletons if first).
-            if results:
-                results.append(results[-1])
-            continue
-        results.append(form_groups(window, max_group_size=max_group_size, n_ranks=n_ranks or trace.n_ranks))
-    return results

@@ -27,20 +27,12 @@
   ``from_store(store)``: the availability (``AVAILABILITY``), storage-tier
   (``STORAGE_TIERS``) and shrink-restart (``ELASTIC_SHRINK``) grids are
   declared this way, and the observatory serves their tables.
-
-``import repro`` loads ``config`` and ``runner``; the other modules load on
-demand.
 """
 
-from repro.experiments.config import ScenarioConfig, QUICK, FULL, ExperimentProfile
-from repro.experiments.runner import ScenarioResult, run_scenario, obtain_groups
+from repro import lazy_exports
 
-__all__ = [
-    "ScenarioConfig",
-    "ScenarioResult",
-    "ExperimentProfile",
-    "QUICK",
-    "FULL",
-    "run_scenario",
-    "obtain_groups",
-]
+_EXPORTS = {
+    ".config": ("ScenarioConfig", "QUICK", "FULL", "ExperimentProfile"),
+    ".runner": ("ScenarioResult", "run_scenario", "obtain_groups"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

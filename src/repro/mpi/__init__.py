@@ -17,48 +17,14 @@ Public pieces:
   :func:`~repro.mpi.trace.script_trace`, the send records read off the scripts.
 """
 
-from repro.mpi.messages import Message, MessageKind, ChannelAccount
-from repro.mpi.ops import (
-    Op,
-    Compute,
-    Send,
-    Recv,
-    SendRecv,
-    Isend,
-    Wait,
-    Barrier,
-    Bcast,
-    Reduce,
-    Allreduce,
-    Allgather,
-    Marker,
-)
-from repro.mpi.trace import TraceRecord, TraceLog, script_trace
-from repro.mpi.tracer import Tracer
-from repro.mpi.runtime import MpiRuntime, RankContext, ApplicationResult
+from repro import lazy_exports
 
-__all__ = [
-    "Message",
-    "MessageKind",
-    "ChannelAccount",
-    "Op",
-    "Compute",
-    "Send",
-    "Recv",
-    "SendRecv",
-    "Isend",
-    "Wait",
-    "Barrier",
-    "Bcast",
-    "Reduce",
-    "Allreduce",
-    "Allgather",
-    "Marker",
-    "TraceRecord",
-    "TraceLog",
-    "script_trace",
-    "Tracer",
-    "MpiRuntime",
-    "RankContext",
-    "ApplicationResult",
-]
+_EXPORTS = {
+    ".messages": ("Message", "MessageKind", "ChannelAccount"),
+    ".ops": ("Op", "Compute", "Send", "Recv", "SendRecv", "Isend", "Wait", "Barrier", "Bcast",
+             "Reduce", "Allreduce", "Allgather", "Marker"),
+    ".trace": ("TraceRecord", "TraceLog", "script_trace"),
+    ".tracer": ("Tracer",),
+    ".runtime": ("MpiRuntime", "RankContext", "ApplicationResult"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

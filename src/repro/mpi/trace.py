@@ -172,14 +172,6 @@ class TraceLog:
         key = unordered_pair(a, b)
         return sum(r.nbytes for r in self.records if unordered_pair(r.src, r.dst) == key)
 
-    def time_window(self, start: float, end: float) -> "TraceLog":
-        """Sub-trace of records with ``start <= timestamp < end``."""
-        if end < start:
-            raise ValueError("end must be >= start")
-        return TraceLog(
-            [r for r in self.records if start <= r.timestamp < end], n_ranks=self._n_ranks
-        )
-
     # -- persistence ------------------------------------------------------------
     def dumps(self) -> str:
         """Serialise to a plain-text, line-per-record format."""

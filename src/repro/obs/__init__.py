@@ -30,82 +30,19 @@ set ``REPRO_TELEMETRY=1`` (or pass ``telemetry=`` to ``run_scenario``) to
 record spans.  See the README "Observability" section.
 """
 
-from .export import (
-    chrome_trace,
-    flat_metrics,
-    load_series,
-    load_spans,
-    spans_to_jsonl,
-    write_chrome_trace,
-    write_series_csv,
-    write_series_jsonl,
-)
-from .harvest import (
-    harvest_app,
-    harvest_coordinator,
-    harvest_restart,
-    harvest_scenario,
-    phase_times,
-)
-from .metrics import (
-    NULL_INSTRUMENT,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from .attribution import (
-    reconcile_with_registry,
-    utilization_breakdown,
-    utilization_table,
-)
-from .sampler import (
-    RANK_STATES,
-    SAMPLE_BIN_ENV,
-    StateSampler,
-    sampling_bin_from_env,
-)
-from .spans import NullTracer, Span, SpanTracer
-from .telemetry import (
-    TELEMETRY_DIR_ENV,
-    TELEMETRY_ENV,
-    Telemetry,
-    tracing_enabled_from_env,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_INSTRUMENT",
-    "NullTracer",
-    "Span",
-    "SpanTracer",
-    "Telemetry",
-    "TELEMETRY_ENV",
-    "TELEMETRY_DIR_ENV",
-    "tracing_enabled_from_env",
-    "StateSampler",
-    "RANK_STATES",
-    "SAMPLE_BIN_ENV",
-    "sampling_bin_from_env",
-    "utilization_breakdown",
-    "utilization_table",
-    "reconcile_with_registry",
-    "chrome_trace",
-    "write_chrome_trace",
-    "spans_to_jsonl",
-    "flat_metrics",
-    "load_series",
-    "load_spans",
-    "write_series_jsonl",
-    "write_series_csv",
-    "harvest_app",
-    "harvest_coordinator",
-    "harvest_restart",
-    "harvest_scenario",
-    "phase_times",
-]
+_EXPORTS = {
+    ".export": ("chrome_trace", "flat_metrics", "load_series", "load_spans", "spans_to_jsonl",
+                "write_chrome_trace", "write_series_csv", "write_series_jsonl"),
+    ".harvest": ("harvest_app", "harvest_coordinator", "harvest_restart", "harvest_scenario",
+                 "phase_times"),
+    ".metrics": ("NULL_INSTRUMENT", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "NullRegistry"),
+    ".attribution": ("reconcile_with_registry", "utilization_breakdown", "utilization_table"),
+    ".sampler": ("RANK_STATES", "SAMPLE_BIN_ENV", "StateSampler", "sampling_bin_from_env"),
+    ".spans": ("NullTracer", "Span", "SpanTracer"),
+    ".telemetry": ("TELEMETRY_DIR_ENV", "TELEMETRY_ENV", "Telemetry",
+                   "tracing_enabled_from_env"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

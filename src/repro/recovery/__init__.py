@@ -7,7 +7,10 @@ recovery, and topology-aware restart-on-spare placement.  See
 :class:`SparePool` for placement.
 """
 
-from repro.recovery.manager import RecoveryManager
-from repro.recovery.spare import SparePlacement, SparePool
+from repro import lazy_exports
 
-__all__ = ["RecoveryManager", "SparePlacement", "SparePool"]
+_EXPORTS = {
+    ".manager": ("RecoveryManager",),
+    ".spare": ("SparePlacement", "SparePool"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

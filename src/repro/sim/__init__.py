@@ -11,33 +11,12 @@ and the checkpoint protocols) is written against this kernel, so its semantics
 are documented carefully and tested extensively.
 """
 
-from repro.sim.engine import Simulator, SimProcess, Interrupt, SimulationError
-from repro.sim.primitives import (
-    Event,
-    Timeout,
-    AllOf,
-    AnyOf,
-    Condition,
-    Resource,
-    ResourceRequest,
-    Store,
-    PriorityStore,
-)
-from repro.sim.rng import RandomStreams
+from repro import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "SimProcess",
-    "Interrupt",
-    "SimulationError",
-    "Event",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Resource",
-    "ResourceRequest",
-    "Store",
-    "PriorityStore",
-    "RandomStreams",
-]
+_EXPORTS = {
+    ".engine": ("Simulator", "SimProcess", "Interrupt", "SimulationError"),
+    ".primitives": ("Event", "Timeout", "AllOf", "AnyOf", "Condition", "Resource",
+                    "ResourceRequest", "Store", "PriorityStore"),
+    ".rng": ("RandomStreams",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

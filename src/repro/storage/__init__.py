@@ -4,34 +4,12 @@ See :mod:`repro.storage.policy` for the level semantics and
 :mod:`repro.storage.hierarchy` for the runtime subsystem.
 """
 
-from repro.storage.hierarchy import (
-    ImageCopy,
-    ImageRecord,
-    RestorePlan,
-    StorageHierarchy,
-    UnsurvivableFailure,
-)
-from repro.storage.policy import (
-    LEVELS,
-    PARTNER_CROSS_SWITCH,
-    PARTNER_SAME_SWITCH,
-    StoragePolicy,
-    full_hierarchy,
-    local_only,
-    partner_replicated,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ImageCopy",
-    "ImageRecord",
-    "LEVELS",
-    "PARTNER_CROSS_SWITCH",
-    "PARTNER_SAME_SWITCH",
-    "RestorePlan",
-    "StorageHierarchy",
-    "StoragePolicy",
-    "UnsurvivableFailure",
-    "full_hierarchy",
-    "local_only",
-    "partner_replicated",
-]
+_EXPORTS = {
+    ".hierarchy": ("ImageCopy", "ImageRecord", "RestorePlan", "StorageHierarchy",
+                   "UnsurvivableFailure"),
+    ".policy": ("LEVELS", "PARTNER_CROSS_SWITCH", "PARTNER_SAME_SWITCH", "StoragePolicy",
+                "full_hierarchy", "local_only", "partner_replicated"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -15,24 +15,14 @@ as per-rank operation scripts for :class:`~repro.mpi.runtime.MpiRuntime`:
   tests and examples.
 """
 
-from repro.workloads.base import Workload
-from repro.workloads.hpl import HplWorkload
-from repro.workloads.npb_cg import CgWorkload
-from repro.workloads.npb_sp import SpWorkload
-from repro.workloads.synthetic import (
-    RingWorkload,
-    Halo2DWorkload,
-    MasterWorkerWorkload,
-    AllToAllWorkload,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Workload",
-    "HplWorkload",
-    "CgWorkload",
-    "SpWorkload",
-    "RingWorkload",
-    "Halo2DWorkload",
-    "MasterWorkerWorkload",
-    "AllToAllWorkload",
-]
+_EXPORTS = {
+    ".base": ("Workload",),
+    ".hpl": ("HplWorkload",),
+    ".npb_cg": ("CgWorkload",),
+    ".npb_sp": ("SpWorkload",),
+    ".synthetic": ("RingWorkload", "Halo2DWorkload", "MasterWorkerWorkload",
+                   "AllToAllWorkload"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

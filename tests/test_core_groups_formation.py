@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.formation import form_groups, grouping_quality, phased_group_formation
+from repro.core.formation import form_groups, grouping_quality
 from repro.core.groups import (
     GroupSet,
     default_max_group_size,
@@ -185,24 +185,6 @@ def test_grouping_quality_metrics():
     worse = grouping_quality(GroupSet.singletons(16), trace)
     assert worse["intra_fraction"] == 0.0
     assert worse["logged_bytes"] > 0
-
-
-def test_phased_formation_tracks_pattern_change():
-    """Phase 1 communicates in pairs (0,1)/(2,3); phase 2 switches to (0,2)/(1,3)."""
-    phase1 = [TraceRecord(0, 1, 1000, timestamp=t) for t in (0.0, 1.0)] + [
-        TraceRecord(2, 3, 1000, timestamp=t) for t in (0.0, 1.0)
-    ]
-    phase2 = [TraceRecord(0, 2, 1000, timestamp=t) for t in (10.0, 11.0)] + [
-        TraceRecord(1, 3, 1000, timestamp=t) for t in (10.0, 11.0)
-    ]
-    trace = TraceLog(phase1 + phase2, n_ranks=4)
-    results = phased_group_formation(trace, n_phases=2, max_group_size=2)
-    assert results[0].groupset.same_group(0, 1)
-    assert results[1].groupset.same_group(0, 2)
-    with pytest.raises(ValueError):
-        phased_group_formation(trace, n_phases=0)
-    with pytest.raises(ValueError):
-        phased_group_formation(TraceLog(), n_phases=2)
 
 
 @given(

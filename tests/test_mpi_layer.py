@@ -141,14 +141,6 @@ def test_trace_loads_rejects_malformed_line():
         TraceLog.loads("0 1 100\n")
 
 
-def test_trace_time_window():
-    log = TraceLog([TraceRecord(0, 1, 10, t) for t in (0.0, 1.0, 2.0, 3.0)])
-    window = log.time_window(1.0, 3.0)
-    assert len(window) == 2
-    with pytest.raises(ValueError):
-        log.time_window(3.0, 1.0)
-
-
 def test_tracer_records_only_app_messages():
     tracer = Tracer()
     app = Message(src=0, dst=1, nbytes=10)
