@@ -1,25 +1,27 @@
 #!/usr/bin/env python
 """Failure-rate campaign sweep: the ``failure_rate`` axis end to end.
 
-Expresses the failure-injection experiments as a declarative campaign grid
-(method × checkpoint schedule), runs the simulated scenarios through a
-persistent campaign store (parallel, cached, resumable), and then evaluates
-the analytic ``failure_rate`` axis on top: for every per-node failure rate,
-which grouping method and checkpoint interval minimise the expected total
-fault-tolerance cost (measured checkpoint overhead + expected rework after
-failures).
+Runs :data:`repro.experiments.failures.WORK_LOSS`, the HPL (GP, NORM) grid
+of a no-checkpoint row plus one row per checkpoint interval, through a
+persistent campaign store (parallel, cached, resumable).  It prints the
+expected lost work per failure, then evaluates the analytic ``failure_rate``
+axis on the same results (``failure_rate_table``): for every per-node failure
+rate, which checkpoint interval minimises each grouping method's expected
+total fault-tolerance cost (measured checkpoint overhead + expected rework
+after failures).
 
-With ``--measured`` the sweep additionally *injects live failures*: for each
-(method, interval) cell a rank is killed at 60% of the cell's failure-free
-makespan, the victim's group actually rolls back to its last coordinated
-checkpoint, out-of-group peers replay their sender logs over the simulated
-network, and the measured lost work / recovery time / replay volume are
-compared against the analytic model on the same grid
-(``measured_work_loss_grid`` exemplar).
+With ``--measured`` it also runs
+:data:`~repro.experiments.failures.MEASURED_WORK_LOSS`, which *injects live
+failures*: for each (method, interval) cell a rank is killed at 60% of the
+cell's failure-free makespan, the victim's group actually rolls back to its
+last coordinated checkpoint, out-of-group peers replay their sender logs over
+the simulated network, and the measured lost work / recovery time / replay
+volume are compared against the analytic model on the same grid.
 
-A second invocation against the same ``--db`` re-runs nothing — every
-simulated scenario is served from the store and only the (cheap) analytic
-rate sweep is recomputed.
+The last line counts every scenario this invocation simulated, the measured
+grid's failure-free probes included.  A second invocation against the same
+``--db`` simulates nothing: every scenario is served from the store and only
+the (cheap) analytic rate table is recomputed.
 
 Run:  PYTHONPATH=src python examples/failure_sweep.py [--db failures.sqlite]
           [--workers N] [--profile quick|full] [--rates 1e-7,1e-6,1e-5]
@@ -29,16 +31,13 @@ Run:  PYTHONPATH=src python examples/failure_sweep.py [--db failures.sqlite]
 import argparse
 import os
 import sys
+import time
 
 from repro.analysis.reporting import format_table
 from repro.campaign import Campaign, CampaignStore
 from repro.campaign.executor import set_default_campaign
 from repro.experiments.config import profile_by_name
-from repro.experiments.failures import (
-    expected_work_loss_experiment,
-    failure_rate_sweep,
-    measured_work_loss_experiment,
-)
+from repro.experiments.failures import MEASURED_WORK_LOSS, WORK_LOSS, failure_rate_table
 
 
 def main(argv=None) -> int:
@@ -64,30 +63,23 @@ def main(argv=None) -> int:
     profile = profile_by_name(args.profile)
     # QUICK executions are short, so the candidate intervals must be too.
     intervals = (8.0, 14.0, 24.0) if profile.name == "quick" else (60.0, 120.0, 180.0)
-    n_ranks = profile.hpl_scales[-1]
 
     campaign = Campaign(CampaignStore(args.db), n_workers=args.workers)
     set_default_campaign(campaign)
     try:
         print(f"store: {args.db}  workers: {args.workers}  profile: {profile.name}\n")
+        start = time.time()
 
-        loss = expected_work_loss_experiment(profile, n_ranks=n_ranks, intervals=intervals)
+        loss = WORK_LOSS.run(profile=profile, intervals=intervals)
         print(format_table(loss["table"]))
         print()
-
-        sweep = failure_rate_sweep(
-            profile, n_ranks=n_ranks, failure_rates=rates, intervals=intervals
-        )
-        print(format_table(sweep["table"]))
+        print(format_table(failure_rate_table(loss["results"], rates)["table"]))
 
         if args.measured:
             print()
-            measured = measured_work_loss_experiment(
-                profile, n_ranks=n_ranks, intervals=intervals,
-                methods=("NORM", "GP", "GP1"),
-            )
+            measured = MEASURED_WORK_LOSS.run(profile=profile, intervals=intervals)
             print(format_table(measured["table"]))
-        executed = campaign.last_executed
+        executed = sum(row.finished_at >= start for row in campaign.store.rows(status="done"))
         counts = campaign.counts()
         print(f"\n[campaign] executed {executed} scenario(s) this run; store counts: {counts}")
         print("re-run the same command: everything is served from the store.")

@@ -1,4 +1,4 @@
-"""Analysis utilities: metrics, trace statistics, report/series builders."""
+"""Analysis utilities: metrics, report/series builders, interval advice."""
 
 from repro import lazy_exports
 
@@ -6,7 +6,6 @@ _EXPORTS = {
     ".metrics": ("CheckpointBreakdown", "stage_breakdown", "aggregate_checkpoint_time",
                  "aggregate_coordination_time", "aggregate_restart_time",
                  "progress_gap_fraction", "checkpoint_windows"),
-    ".trace_analysis": ("communication_summary", "top_pairs", "pair_volume_histogram"),
     ".reporting": ("Series", "Table", "format_table"),
     ".advisor": ("MeasuredCosts", "measured_costs", "suggest_checkpoint_interval"),
 }

@@ -7,8 +7,11 @@
 * :mod:`repro.experiments.figures` — ``FIGURES``, one :class:`Experiment`
   per table/figure of the paper in paper order: its scenario rows per
   profile and the data series/rows the paper plots,
-* :mod:`repro.experiments.failures` — failure-injection extension experiments
-  (expected lost work vs grouping method and checkpoint interval),
+* :mod:`repro.experiments.failures` — failure-injection extension
+  experiments, two :class:`Experiment` declarations: ``WORK_LOSS``
+  (expected lost work per grouping method and checkpoint interval, with the
+  analytic ``failure_rate_table`` over its results) and
+  ``MEASURED_WORK_LOSS`` (a live kill per cell against that model),
 * :mod:`repro.experiments.availability` — long-horizon availability grids
   (method × MTBF × spare count under sustained Poisson failures, with
   concurrent group recoveries and spare-node placement),

@@ -1,4 +1,4 @@
-"""Tests for the analysis layer: metrics, trace statistics, reporting, advisor."""
+"""Tests for the analysis layer: metrics, reporting, advisor."""
 
 import random
 
@@ -18,15 +18,7 @@ from repro.analysis.metrics import (
     stage_breakdown,
 )
 from repro.analysis.reporting import Series, Table, format_table, series_table
-from repro.analysis.trace_analysis import (
-    communication_summary,
-    imbalance_factor,
-    pair_volume_histogram,
-    top_pairs,
-    volume_by_rank,
-)
 from repro.ckpt.base import CheckpointRecord, RestartRecord, STAGE_CHECKPOINT
-from repro.mpi.trace import TraceLog, TraceRecord
 
 
 def make_record(rank=0, start=0.0, end=5.0, checkpoint=2.0, coordination=2.5):
@@ -123,48 +115,6 @@ def test_progress_gap_fraction_matches_brute_force_on_random_edges():
         want = _gap_fraction_reference(sorted(times), [w for w in windows if w[1] > w[0]],
                                        bin_s)
         assert got == want, (times, windows, bin_s)
-
-
-# -------------------------------------------------------------------------- trace analysis
-def _trace():
-    return TraceLog(
-        [TraceRecord(0, 1, 1000), TraceRecord(0, 1, 500), TraceRecord(2, 3, 100),
-         TraceRecord(1, 0, 50)],
-        n_ranks=4,
-    )
-
-
-def test_communication_summary():
-    summary = communication_summary(_trace())
-    assert summary.total_messages == 4
-    assert summary.total_bytes == 1650
-    assert summary.distinct_pairs == 2
-    assert summary.max_pair_bytes == 1550
-    assert "msgs" in summary.describe()
-
-
-def test_top_pairs_ordering():
-    pairs = top_pairs(_trace(), k=2)
-    assert pairs[0][0] == (0, 1)
-    assert pairs[0][2] == 1550
-    assert len(top_pairs(_trace(), k=1)) == 1
-    with pytest.raises(ValueError):
-        top_pairs(_trace(), k=-1)
-
-
-def test_pair_volume_histogram():
-    hist = pair_volume_histogram(_trace(), n_bins=4)
-    assert sum(hist["counts"]) == 2
-    assert pair_volume_histogram(TraceLog(), n_bins=3) == {"edges": [], "counts": []}
-    with pytest.raises(ValueError):
-        pair_volume_histogram(_trace(), n_bins=0)
-
-
-def test_volume_by_rank_and_imbalance():
-    volumes = volume_by_rank(_trace())
-    assert volumes[0] == (1500, 50)
-    assert imbalance_factor(_trace()) > 1.0
-    assert imbalance_factor(TraceLog()) == 1.0
 
 
 # ------------------------------------------------------------------------------- reporting

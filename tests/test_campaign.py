@@ -447,26 +447,28 @@ def test_benchmark_rows_round_trip_and_append():
 
 # ------------------------------------------------------------- failure-rate campaign
 def test_failure_rate_sweep_runs_through_campaign_and_caches():
-    from repro.experiments.failures import failure_rate_sweep
+    from repro.experiments.failures import WORK_LOSS, failure_rate_table
+
+    def sweep():
+        results = WORK_LOSS.run(profile=QUICK, n_ranks=16, intervals=(8.0,))["results"]
+        return failure_rate_table(results, failure_rates=(1e-6, 1e-3))
 
     campaign = Campaign()
     set_default_campaign(campaign)
     try:
-        out = failure_rate_sweep(QUICK, n_ranks=16, intervals=(8.0,),
-                                 failure_rates=(1e-6, 1e-3))
-        assert len(out["points"]) == 4  # 2 rates x 2 methods
+        rows = sweep()["table"].rows
+        assert len(rows) == 4  # 2 rates x 2 methods
         executed_cold = campaign.last_executed
         assert executed_cold > 0
         # a higher failure rate can only raise the expected total cost
         by_method = {}
-        for point in out["points"]:
-            by_method.setdefault(point.method, []).append(point)
+        for rate, method, *_, total in rows:
+            by_method.setdefault(method, []).append((rate, total))
         for points in by_method.values():
-            points.sort(key=lambda p: p.failure_rate_per_node_s)
-            assert points[0].expected_total_cost_s <= points[1].expected_total_cost_s
+            points.sort()
+            assert points[0][1] <= points[1][1]
         # warm rerun: everything served from the store
-        failure_rate_sweep(QUICK, n_ranks=16, intervals=(8.0,),
-                           failure_rates=(1e-6, 1e-3))
+        sweep()
         assert campaign.last_executed == 0
     finally:
         set_default_campaign(None)

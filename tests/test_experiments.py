@@ -8,11 +8,12 @@ from repro.campaign.executor import Campaign, reset_default_campaign, set_defaul
 from repro.campaign.results import StoredResult
 from repro.campaign.store import scenario_key
 from repro.experiments.figures import FIGURES, hpl_grid
-from repro.experiments.config import FULL, QUICK, ScenarioConfig, profile_by_name
+from repro.experiments.config import FULL, QUICK, FailureSpec, ScenarioConfig, profile_by_name
 from repro.experiments.failures import (
-    expected_work_loss_experiment,
-    mtbf_overhead_experiment,
-    rollback_scope_experiment,
+    WORK_LOSS,
+    failure_rate_table,
+    predicted_rollback_scope,
+    work_loss_configs,
 )
 from repro.experiments.runner import (
     build_family,
@@ -230,21 +231,39 @@ def test_figure3_and_table1_rows_are_hpl_grid_rows(profile):
 
 # -------------------------------------------------------------------------------- failures
 def test_rollback_scope_experiment_orders_methods():
-    out = rollback_scope_experiment(QUICK, n_ranks=16)
-    scope = out["scope"]
+    scope = {
+        method: predicted_rollback_scope(ScenarioConfig(
+            "hpl", 16, method, workload_options=dict(QUICK.hpl_options), max_group_size=8,
+            failure=FailureSpec(at_s=1.0)))
+        for method in ("NORM", "GP", "GP1")
+    }
     assert scope["NORM"] == 16
     assert scope["GP1"] == 1
     assert 1 < scope["GP"] < 16
 
 
 def test_expected_work_loss_experiment_reports_points():
-    out = expected_work_loss_experiment(QUICK, n_ranks=16, intervals=(2.0, 4.0))
-    assert len(out["points"]) == 4
-    assert all(p.expected_loss_s >= 0 for p in out["points"])
+    out = WORK_LOSS.run(profile=QUICK, n_ranks=16, intervals=(2.0, 4.0))
+    losses = [y for series in out["series"] for y in series.y]
+    assert len(losses) == 4
+    assert all(loss >= 0 for loss in losses)
 
 
-def test_mtbf_overhead_experiment():
-    out = mtbf_overhead_experiment({"GP": 2.0, "NORM": 10.0}, mtbf_per_node_s=1e6, n_nodes=100)
-    results = out["results"]
-    assert results["GP"]["interval_s"] < results["NORM"]["interval_s"]
-    assert results["GP"]["overhead"] < results["NORM"]["overhead"]
+def test_failure_rate_table_skips_intervals_that_never_checkpointed():
+    """A 100 s interval outlasts the run: its tiny overhead must not make it "best"."""
+    def stored(config):
+        interval = config.schedule.interval_s if config.schedule else None
+        makespan, ends = {None: (50.0, []), 8.0: (60.0, [10.0, 20.0, 30.0]),
+                          100.0: (51.0, [])}[interval]
+        return StoredResult(config, {"makespan": makespan, "checkpoints_completed": len(ends),
+                                     "rank0_checkpoint_end_times": ends})
+
+    results = [stored(c) for c in work_loss_configs(QUICK, n_ranks=16, intervals=(8.0, 100.0))]
+    rows = failure_rate_table(results, failure_rates=(1e-7,))["table"].rows
+    assert [(method, interval) for _, method, interval, *_ in rows] == [("GP", 8.0), ("NORM", 8.0)]
+    only_too_long = [r for r in results if r.config.schedule is None
+                     or r.config.schedule.interval_s == 100.0]
+    with pytest.raises(ValueError, match="choose intervals shorter"):
+        failure_rate_table(only_too_long, failure_rates=(1e-7,))
+    with pytest.raises(ValueError):
+        failure_rate_table(results, failure_rates=(0.0,))

@@ -387,34 +387,40 @@ class TestScenarioIntegration:
 class TestMeasuredVsAnalytic:
     @pytest.fixture(scope="class")
     def experiment(self):
+        """The killed runs and the analytic total loss, by method."""
         from repro.campaign.executor import reset_default_campaign
-        from repro.experiments.failures import measured_work_loss_experiment
+        from repro.experiments.failures import MEASURED_METHODS, MEASURED_WORK_LOSS
 
         reset_default_campaign()
-        out = measured_work_loss_experiment(
-            QUICK, n_ranks=16, intervals=(8.0,), methods=("NORM", "GP", "GP1"),
-            failure_fraction=0.6)
+        out = MEASURED_WORK_LOSS.run(profile=QUICK, n_ranks=16, intervals=(8.0,))
         reset_default_campaign()
-        return {p.method: p for p in out["points"]}
+        killed = {r.config.method: r for r in out["results"] if r.config.failure is not None}
+        analytic = {method: series.y[0]
+                    for method, series in zip(MEASURED_METHODS, out["analytic_series"])}
+        return killed, analytic
 
     def test_group_size_ordering_matches_the_paper(self, experiment):
-        assert (experiment["NORM"].measured_lost_work_s
-                >= experiment["GP"].measured_lost_work_s
-                >= experiment["GP1"].measured_lost_work_s)
-        assert (experiment["NORM"].rollback_ranks
-                > experiment["GP"].rollback_ranks
-                > experiment["GP1"].rollback_ranks == 1)
+        killed, _ = experiment
+        assert (killed["NORM"].measured_lost_work_s
+                >= killed["GP"].measured_lost_work_s
+                >= killed["GP1"].measured_lost_work_s)
+        assert (killed["NORM"].rollback_ranks_total
+                > killed["GP"].rollback_ranks_total
+                > killed["GP1"].rollback_ranks_total == 1)
 
     def test_measured_loss_tracks_the_analytic_model(self, experiment):
-        for point in experiment.values():
-            assert point.analytic_total_loss_s > 0
-            ratio = point.measured_lost_work_s / point.analytic_total_loss_s
+        killed, analytic = experiment
+        assert set(killed) == set(analytic)
+        for method, run in killed.items():
+            assert analytic[method] > 0
+            ratio = run.measured_lost_work_s / analytic[method]
             # same grid, same failure instant: the analytic model should be
             # within a modest factor of the measurement (it ignores recovery
             # dynamics, staggered checkpoint ends and partial-op effects)
-            assert 0.5 <= ratio <= 2.0, (point.method, ratio)
+            assert 0.5 <= ratio <= 2.0, (method, ratio)
 
     def test_only_logging_methods_replay(self, experiment):
-        assert experiment["NORM"].replayed_bytes == 0
-        assert experiment["GP"].replayed_bytes > 0
-        assert experiment["GP1"].replayed_bytes > 0
+        killed, _ = experiment
+        assert killed["NORM"].replayed_bytes == 0
+        assert killed["GP"].replayed_bytes > 0
+        assert killed["GP1"].replayed_bytes > 0

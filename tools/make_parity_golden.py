@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate the determinism goldens: parity metrics, QUICK tables, perfbench digests.
 
-Writes four files in one run, all into the directory of ``--out``:
+Writes five files in one run, all into the directory of ``--out``:
 
 * ``--out`` itself (default ``tests/data/quick_parity_golden.json``): the
   simulated metrics of every scenario of
@@ -11,6 +11,11 @@ Writes four files in one run, all into the directory of ``--out``:
   tables, without the ``=== ``, ``Profile: `` and ``Campaign: `` lines,
   which CI's tests job diffs its in-memory run against (paper-quick its
   cold and warm runs into a store);
+* ``failure_tables_golden.txt``: the three tables of
+  ``examples/failure_sweep.py --profile quick --measured`` run into a fresh
+  store, without its ``store: ``, ``[campaign] `` and ``re-run `` lines,
+  which ``tests/test_failure_sweep.py`` and CI's measured-failure-smoke job
+  diff their runs against;
 * ``perfbench_digests.json``: the ``sim_digest`` sha256 of every perfbench
   workload at seeds 0-3 (``perfbench/scenarios.py``'s
   ``build(name, seed).run().digest()``), which CI's perfbench-smoke job
@@ -38,7 +43,8 @@ import json
 import os
 import subprocess
 import sys
-from typing import Dict
+import tempfile
+from typing import Dict, Sequence, Tuple
 
 import numpy
 
@@ -52,17 +58,35 @@ from repro.experiments.runner import run_scenario
 #: run-specific lines of ``reproduce_paper.py`` that the tables golden drops
 TABLE_HEADER_PREFIXES = ("=== ", "Profile: ", "Campaign: ")
 
+#: run-specific lines of ``failure_sweep.py`` that the failure tables golden drops
+FAILURE_RUN_PREFIXES = ("store: ", "[campaign] ", "re-run ")
+
 #: perfbench seeds whose digests the perfbench golden records
 PERFBENCH_SEEDS = (0, 1, 2, 3)
 
 
-def quick_tables() -> str:
-    """``reproduce_paper.py``'s QUICK tables in memory, header lines dropped."""
+def example_tables(script: str, args: Sequence[str], drop: Tuple[str, ...]) -> str:
+    """An example's stdout, without the lines starting with one of ``drop``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "examples", "reproduce_paper.py")],
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "examples", script), *args],
                          check=True, capture_output=True, text=True, env=env, cwd=ROOT).stdout
     return "".join(line for line in out.splitlines(keepends=True)
-                   if not line.startswith(TABLE_HEADER_PREFIXES))
+                   if not line.startswith(drop))
+
+
+def quick_tables() -> str:
+    """``reproduce_paper.py``'s QUICK tables in memory, header lines dropped."""
+    return example_tables("reproduce_paper.py", (), TABLE_HEADER_PREFIXES)
+
+
+def failure_tables() -> str:
+    """``failure_sweep.py --profile quick --measured`` into a fresh store, run lines dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return example_tables(
+            "failure_sweep.py",
+            ("--db", os.path.join(tmp, "failures.sqlite"), "--workers", "1",
+             "--profile", "quick", "--measured"),
+            FAILURE_RUN_PREFIXES)
 
 
 def perfbench_digests() -> Dict[str, str]:
@@ -102,11 +126,12 @@ def main() -> None:
     write_json(args.out, golden)
     print(f"\nwrote {len(golden)} scenarios to {args.out}")
 
-    tables = quick_tables()
-    tables_path = os.path.join(out_dir, "quick_tables_golden.txt")
-    with open(tables_path, "w") as fh:
-        fh.write(tables)
-    print(f"wrote {tables.count(chr(10))} table lines to {tables_path}")
+    for name, tables in (("quick_tables_golden.txt", quick_tables()),
+                         ("failure_tables_golden.txt", failure_tables())):
+        tables_path = os.path.join(out_dir, name)
+        with open(tables_path, "w") as fh:
+            fh.write(tables)
+        print(f"wrote {tables.count(chr(10))} table lines to {tables_path}")
 
     digests = perfbench_digests()
     digests_path = os.path.join(out_dir, "perfbench_digests.json")
